@@ -119,7 +119,7 @@ def test_update_query_alternation_hits_wff_cache(benchmark):
         start = time.perf_counter()
         theory.clauses()
         incremental_time += time.perf_counter() - start
-    stats = theory.solver_statistics()
+    stats = theory.tseitin_statistics()
 
     # The seed discipline: Tseitin over the whole section on every query.
     full_time = 0.0
@@ -129,8 +129,8 @@ def test_update_query_alternation_hits_wff_cache(benchmark):
             tseitin(formula, prefix=f"@ts{i}_")
         full_time += time.perf_counter() - start
 
-    hits = stats["tseitin_cache_hits"]
-    misses = stats["tseitin_cache_misses"]
+    hits = stats["cache_hits"]
+    misses = stats["cache_misses"]
     rows = [
         ["updates (each followed by a query)", stream_length],
         ["wffs at end of stream", len(theory.formulas())],
@@ -153,25 +153,25 @@ def test_update_query_alternation_hits_wff_cache(benchmark):
     benchmark(theory.clauses)
 
 
-def test_solver_statistics_surface():
-    """The counters the CLI and Database.statistics() expose are live."""
+def test_solver_metrics_surface():
+    """The counters the CLI and Database.metrics_snapshot() expose are live."""
     from repro.core.engine import Database
 
     db = Database()
     db.update("INSERT P(a) | P(b) WHERE T")
     db.ask("P(a)")
     db.world_count()
-    stats = db.statistics()
+    stats = db.metrics_snapshot()
     for key in (
-        "sat_decisions",
-        "sat_propagations",
-        "sat_conflicts",
-        "sat_solve_calls",
-        "sat_clauses_added",
-        "tseitin_cache_hits",
-        "tseitin_cache_misses",
-        "updates_applied",
+        "sat.decisions",
+        "sat.propagations",
+        "sat.conflicts",
+        "sat.solve_calls",
+        "sat.clauses_added",
+        "tseitin.cache_hits",
+        "tseitin.cache_misses",
+        "engine.updates_applied",
     ):
         assert key in stats, key
-    assert stats["sat_solve_calls"] > 0
-    assert stats["updates_applied"] == 1
+    assert stats["sat.solve_calls"] > 0
+    assert stats["engine.updates_applied"] == 1

@@ -50,7 +50,7 @@ def main() -> None:
         "INSERT Emp(?y,sales) & !Emp(?y,hr) WHERE Emp(?y,hr)"
     ).expand(hr_sales.theory)
     swap = SimultaneousInsert(list(to_hr.pairs) + list(to_sales.pairs))
-    hr_sales._executor.apply_simultaneous(swap)
+    hr_sales.update(swap)
     print("   alice in hr:", hr_sales.ask("Emp(alice,hr)").status)
     print("   carol in sales:", hr_sales.ask("Emp(carol,sales)").status)
     print("   (sequential application would have moved alice to hr and then"

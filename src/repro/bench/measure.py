@@ -106,19 +106,6 @@ def _slope(xs: List[float], ys: List[float]) -> float:
     return covariance / variance
 
 
-def pipeline_stage_rows(statistics) -> List[List[object]]:
-    """``[stage, calls, seconds]`` rows from the ``pipeline_*`` counters in
-    ``Database.statistics()`` output, in the order the keys appear."""
-    rows = []
-    for key, value in statistics.items():
-        if key.startswith("pipeline_") and key.endswith("_calls"):
-            stage = key[len("pipeline_"):-len("_calls")]
-            rows.append(
-                [stage, value, statistics.get(f"pipeline_{stage}_seconds", 0.0)]
-            )
-    return rows
-
-
 def growth_ratio(xs: Sequence[float], ys: Sequence[float]) -> float:
     """(y_max / y_min) / (x_max / x_min): ~1 for linear, <<1 for sublinear,
     >>1 for superlinear growth across the sweep."""

@@ -13,9 +13,8 @@ Interactive commands (anything else is parsed as an LDML statement):
     .select <rel>     tuple membership with status
     .worlds [n]       list (up to n) alternative worlds
     .theory           print the theory with its derived axioms
-    .stats            engine statistics (theory sizes, SAT counters, caches,
-                      formula-arena interning counters)
-    .metrics          the same statistics under namespaced dotted names
+    .metrics          engine metrics under dotted names (theory sizes, SAT
+                      counters, caches, formula-arena counters, stage timings)
     .trace            per-stage pipeline timings (last update + totals)
     .explain          the last update as the paper's GUA Step 1-7 narrative
     .spans [min_ms]   span tree of the last traced update (needs --trace)
@@ -96,9 +95,6 @@ def handle_command(db: Database, line: str, out=None) -> Optional[Database]:
             print(f"  ... (showing first {limit})", file=out)
     elif command == ".theory":
         print(db.theory.pretty(), file=out)
-    elif command == ".stats":
-        for key, value in db.statistics().items():
-            print(f"  {key}: {value}", file=out)
     elif command == ".metrics":
         from repro.obs import render_metrics
 
@@ -136,11 +132,11 @@ def handle_command(db: Database, line: str, out=None) -> Optional[Database]:
                     + (f"  ({detail})" if detail else ""),
                     file=out,
                 )
-        totals = db.tracer.stage_totals()
         print("cumulative:", file=out)
-        for stage, (calls, seconds) in totals.items():
+        for stage, histogram in db.tracer.histograms.items():
             print(
-                f"  {stage:<9} {calls:6d} calls {seconds * 1e3:10.3f} ms",
+                f"  {stage:<9} {histogram.count:6d} calls "
+                f"{histogram.total * 1e3:10.3f} ms",
                 file=out,
             )
     elif command == ".simplify":

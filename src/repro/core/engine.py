@@ -16,16 +16,16 @@ the execution strategy is a pluggable backend::
     Database(backend="naive")  # Section 3.2: explicit alternative worlds
 
 All backends answer queries through the same ``ask``/``worlds`` surface, so
-benchmarks (E10, E12) compare them through one entry point; per-stage wall
-times and counters are available from :meth:`statistics` and
-:meth:`last_trace`.
+benchmarks (E10, E12) compare them through one entry point; counters and
+per-stage duration histograms are available from :meth:`metrics_snapshot`,
+and the last update's stage-by-stage trace from :meth:`last_trace`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.gua import GuaExecutor, GuaResult
+from repro.core.gua import GuaResult
 from repro.core.pipeline import (
     BackendResult,
     PipelineTracer,
@@ -73,7 +73,6 @@ class Database:
         simplify_every: Optional[int] = None,
         entailment_mode: str = "conjunct",
         backend: str = "gua",
-        trace_history: int = 64,
     ):
         """Args:
             schema: optional database schema (enables type axioms and the
@@ -91,8 +90,6 @@ class Database:
             backend: execution strategy — ``"gua"`` (live theory, default),
                 ``"log"`` (log-structured strawman), or ``"naive"``
                 (explicit world set).
-            trace_history: per-update pipeline traces kept for
-                :meth:`last_trace` / the CLI ``.trace`` command.
         """
         base = ExtendedRelationalTheory(
             schema=schema, dependencies=dependencies, formulas=facts
@@ -107,12 +104,8 @@ class Database:
             entailment_mode=entailment_mode,
             simplify_every=simplify_every,
         )
-        # The metrics registry is created before the tracer so the tracer
-        # can feed its per-stage duration histograms.
         self.metrics = MetricsRegistry()
-        self.tracer = PipelineTracer(
-            keep_last=trace_history, registry=self.metrics
-        )
+        self.tracer = PipelineTracer(self.metrics)
         self._simplifier = (
             AutoSimplifier(simplify_every)
             if simplify_every and self.backend.supports("simplify")
@@ -129,26 +122,15 @@ class Database:
         # Per-savepoint simplifier state (update-counter phase, report
         # count) so rollback restores the whole engine, not just the theory.
         self._simplifier_marks: Dict[str, Tuple[int, int]] = {}
-        # Every health counter flows through the registry, namespaced at its
-        # source; Database.statistics() is the collision-checked flat view.
-        for namespace, collector, strip, flatten in self.backend.metric_sources():
-            self.metrics.register_collector(
-                namespace, collector, strip=strip, flatten=flatten
-            )
+        # Every health counter flows through the registry, which adds each
+        # source's namespace to its plain keys.
+        for namespace, collector in self.backend.metric_sources():
+            self.metrics.register_collector(namespace, collector)
         self.metrics.register_collector(
-            "engine",
-            lambda: {"updates_applied": len(self.transactions.log)},
-            flatten="strip",
+            "engine", lambda: {"updates_applied": len(self.transactions.log)}
         )
-        self.metrics.register_collector(
-            "pipeline", self.tracer.metrics, flatten="join"
-        )
-        self.metrics.register_collector(
-            "arena", ARENA.statistics, strip="arena_", flatten="join"
-        )
-        self.metrics.register_collector(
-            "obs", TRACER.statistics, flatten="join"
-        )
+        self.metrics.register_collector("arena", ARENA.statistics)
+        self.metrics.register_collector("obs", TRACER.statistics)
 
     # -- backend views -----------------------------------------------------------
 
@@ -158,17 +140,6 @@ class Database:
         log; the naive backend has none and raises
         :class:`~repro.errors.TheoryError`."""
         return self.backend.theory
-
-    @property
-    def _executor(self) -> GuaExecutor:
-        """The gua backend's executor (kept for tests/power users that drive
-        GUA directly, bypassing the pipeline and journal)."""
-        executor = getattr(self.backend, "executor", None)
-        if executor is None:
-            raise UpdateError(
-                f"the {self.backend.name!r} backend has no GUA executor"
-            )
-        return executor
 
     # -- updates ---------------------------------------------------------------
 
@@ -207,11 +178,6 @@ class Database:
     def sql(self, statement: str) -> UpdateResult:
         """Apply one SQL-ish statement (see :mod:`repro.ldml.sql`)."""
         return self.pipeline.submit(statement, source="sql")
-
-    def _tagged(self, update: GroundUpdate) -> GroundUpdate:
-        """The Section 3.5 attribute-tagging layer (the pipeline's tag
-        stage), exposed for callers that drive GUA directly."""
-        return self.pipeline.tag_ground(update)
 
     # -- queries ---------------------------------------------------------------
 
@@ -308,25 +274,18 @@ class Database:
             )
         self.backend.compact()
 
-    def statistics(self) -> Dict[str, float]:
-        """Engine-wide health metrics, flat legacy names: the backend's
-        counters (theory sizes and ``sat_*``/``tseitin_cache_*`` for gua,
-        ``log_*`` for the log store, world counts for naive),
-        ``updates_applied``, the pipeline tracer's per-stage
-        ``pipeline_<stage>_calls`` / ``pipeline_<stage>_seconds``, the
-        formula arena's ``arena_*`` interning/memo counters (process-wide,
-        shared by all databases), and the span tracer's ``obs_*`` counters.
-
-        This is the back-compat view of :meth:`metrics_snapshot`: every key
-        is namespaced at its source and flattened here, and a collision
-        between two sources raises instead of silently shadowing a metric.
-        """
-        return self.metrics.flat_snapshot()
-
     def metrics_snapshot(self) -> Dict[str, float]:
-        """The same metrics under namespaced dotted names
-        (``sat.conflicts``, ``arena.hit_rate``,
-        ``pipeline.execute.seconds.p90``, ...)."""
+        """Engine-wide health metrics under dotted names: the backend's
+        counters (``theory.*``, ``sat.*`` and ``tseitin.*`` for gua,
+        ``log.*`` for the log store, ``naive.*`` world counts),
+        ``engine.updates_applied``, the per-stage duration histograms
+        ``pipeline.<stage>.seconds.{count,sum,p50,p90,p99}``, the formula
+        arena's ``arena.*`` interning/memo counters (process-wide, shared
+        by all databases), and the span tracer's ``obs.*`` counters.
+
+        A key produced by two sources raises instead of silently shadowing
+        a metric.
+        """
         return self.metrics.snapshot()
 
     def explain_update(self) -> str:

@@ -123,11 +123,12 @@ class LogStructuredStore:
         return len(self._log)
 
     def statistics(self) -> Dict[str, int]:
-        """Store-level counters (cheap: never forces a replay)."""
+        """Store-level counters (cheap: never forces a replay); plain keys,
+        namespaced under ``log`` by the metrics registry."""
         return {
-            "log_pending": len(self._log),
-            "log_replays": self.replays,
-            "log_materialized": int(self._materialized is not None),
+            "pending": len(self._log),
+            "replays": self.replays,
+            "materialized": int(self._materialized is not None),
         }
 
     def __repr__(self) -> str:

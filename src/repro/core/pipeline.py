@@ -28,10 +28,12 @@ path:
 * **maintain** — the Section 4 periodic simplifier, for backends that keep
   an incrementally-maintained theory.
 
-Every stage reports to a :class:`PipelineTracer` — stage name, wall time,
-atoms/wffs touched, backend counters — which feeds
-``Database.statistics()``, the CLI ``.trace`` command, and the
-``BENCH_pipeline.json`` artifact emitted by :mod:`repro.bench.pipeline_bench`.
+Every stage reports to a :class:`PipelineTracer`: its duration is recorded
+once, in the metrics registry histogram ``pipeline.<stage>.seconds`` (whose
+``.count``/``.sum`` are the cumulative calls and seconds), and its wall time
+and detail (atoms/wffs touched, backend counters) join the bounded
+per-update history behind ``Database.last_trace()`` and the CLI ``.trace``
+command.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from repro.ldml.sql import translate_sql
 from repro.logic.parser import parse as parse_formula
 from repro.logic.syntax import Formula
 from repro.logic.terms import GroundAtom
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Collector, MetricsRegistry
 from repro.obs.spans import span as obs_span
 from repro.query.answers import Answer, ask as ask_theory
 from repro.theory.theory import ExtendedRelationalTheory
@@ -72,6 +74,9 @@ STAGES: Tuple[str, ...] = (
     "journal",
     "maintain",
 )
+
+#: Per-update traces each pipeline keeps for ``last_trace()``/``.trace``.
+TRACE_HISTORY = 64
 
 #: Monotonic ids stamped on each pipeline's root spans, so traces from
 #: several databases interleaved on the process tracer stay attributable.
@@ -92,10 +97,14 @@ class StageEvent:
 
 @dataclass
 class UpdateTrace:
-    """The full stage record of one update through the pipeline."""
+    """The full stage record of one update through the pipeline.
 
-    sequence: int
+    ``sequence`` is the update's journal sequence (``-1`` until the journal
+    stage has recorded it).
+    """
+
     backend: str
+    sequence: int = -1
     kind: str = "?"
     events: List[StageEvent] = field(default_factory=list)
 
@@ -114,37 +123,26 @@ class UpdateTrace:
 
 
 class PipelineTracer:
-    """Collects per-stage trace events and cumulative totals.
+    """Times pipeline stages into the registry; keeps recent update traces.
 
     One tracer per :class:`~repro.core.engine.Database`; the pipeline is
     single-threaded, so the tracer tracks one in-flight update at a time.
-    Recent per-update traces are kept in a bounded history (for the CLI
-    ``.trace`` command); cumulative per-stage counters are kept forever and
-    surfaced by ``Database.statistics()``.
+    Each stage duration is observed once, by the registry histogram
+    ``pipeline.<stage>.seconds``; the last :data:`TRACE_HISTORY` per-update
+    traces are kept for ``Database.last_trace()`` and the CLI ``.trace``
+    command.
     """
 
-    def __init__(
-        self,
-        keep_last: int = 64,
-        *,
-        registry: Optional[MetricsRegistry] = None,
-    ):
-        self._history: Deque[UpdateTrace] = deque(maxlen=keep_last)
+    def __init__(self, registry: MetricsRegistry):
+        self._history: Deque[UpdateTrace] = deque(maxlen=TRACE_HISTORY)
         self._current: Optional[UpdateTrace] = None
-        self._calls: Dict[str, int] = {stage: 0 for stage in STAGES}
-        self._seconds: Dict[str, float] = {stage: 0.0 for stage in STAGES}
-        self.updates_traced = 0
-        self._histograms = None
-        if registry is not None:
-            self._histograms = {
-                stage: registry.histogram(f"pipeline.{stage}.seconds")
-                for stage in STAGES
-            }
+        self.histograms = {
+            stage: registry.histogram(f"pipeline.{stage}.seconds")
+            for stage in STAGES
+        }
 
     def begin(self, backend: str) -> UpdateTrace:
-        self._current = UpdateTrace(
-            sequence=self.updates_traced, backend=backend
-        )
+        self._current = UpdateTrace(backend=backend)
         return self._current
 
     @contextmanager
@@ -153,8 +151,7 @@ class PipelineTracer:
 
         Alongside the per-update trace, each stage execution opens an obs
         span (``pipeline.<stage>``, nested under the update's root span
-        when tracing is on) and feeds the stage-duration histogram of the
-        owning database's metrics registry.
+        when tracing is on) and feeds the stage-duration histogram.
         """
         event = StageEvent(stage=name)
         with obs_span(f"pipeline.{name}") as sp:
@@ -165,14 +162,7 @@ class PipelineTracer:
                 event.seconds = time.perf_counter() - start
                 if sp:
                     sp.attrs.update(event.detail)
-                self._calls[name] = self._calls.get(name, 0) + 1
-                self._seconds[name] = (
-                    self._seconds.get(name, 0.0) + event.seconds
-                )
-                if self._histograms is not None:
-                    histogram = self._histograms.get(name)
-                    if histogram is not None:
-                        histogram.observe(event.seconds)
+                self.histograms[name].observe(event.seconds)
                 if self._current is not None:
                     self._current.events.append(event)
 
@@ -180,56 +170,27 @@ class PipelineTracer:
         """The in-flight update completed; move it to the history."""
         if self._current is not None:
             self._history.append(self._current)
-            self.updates_traced += 1
             self._current = None
 
     def abort(self) -> None:
-        """The in-flight update failed; drop its partial trace (cumulative
-        stage totals keep the time actually spent)."""
+        """The in-flight update failed; drop its partial trace (the stage
+        histograms keep the time actually spent)."""
         self._current = None
 
     def truncate(self, sequence: int) -> None:
         """Drop traces of updates with sequence >= *sequence* (rollback).
 
-        The sequence counter rewinds with the journal so the next update's
-        trace number matches its journal entry; cumulative per-stage totals
-        are *not* rewound — they describe work actually performed, which a
-        rollback cannot unperform.
+        The stage histograms are *not* rewound — they describe work
+        actually performed, which a rollback cannot unperform.
         """
         while self._history and self._history[-1].sequence >= sequence:
             self._history.pop()
-        self.updates_traced = min(self.updates_traced, sequence)
 
     def last(self) -> Optional[UpdateTrace]:
         return self._history[-1] if self._history else None
 
     def history(self) -> Tuple[UpdateTrace, ...]:
         return tuple(self._history)
-
-    def stage_totals(self) -> Dict[str, Tuple[int, float]]:
-        """stage -> (calls, cumulative seconds)."""
-        return {
-            stage: (self._calls.get(stage, 0), self._seconds.get(stage, 0.0))
-            for stage in STAGES
-        }
-
-    def statistics(self) -> Dict[str, float]:
-        """Flat counters for ``Database.statistics()``."""
-        stats: Dict[str, float] = {"pipeline_updates": self.updates_traced}
-        for stage, (calls, seconds) in self.stage_totals().items():
-            stats[f"pipeline_{stage}_calls"] = calls
-            stats[f"pipeline_{stage}_seconds"] = seconds
-        return stats
-
-    def metrics(self) -> Dict[str, float]:
-        """The same counters under dotted metric names (``updates``,
-        ``<stage>.calls``, ``<stage>.seconds``) for the ``pipeline``
-        namespace of the metrics registry."""
-        out: Dict[str, float] = {"updates": self.updates_traced}
-        for stage, (calls, seconds) in self.stage_totals().items():
-            out[f"{stage}.calls"] = calls
-            out[f"{stage}.seconds"] = seconds
-        return out
 
 
 # -- the normalized form -----------------------------------------------------------
@@ -333,15 +294,10 @@ class UpdateBackend:
         """The backend's growth measure (journaled with each update)."""
         raise NotImplementedError
 
-    def statistics(self) -> Dict[str, int]:
-        return {}
-
-    def metric_sources(self):
-        """``(namespace, collector, strip, flatten)`` tuples for the
-        metrics registry — every key namespaced at its source.  The default
-        exposes :meth:`statistics` under the backend's name with the legacy
-        un-prefixed flat keys."""
-        return [(self.name, self.statistics, None, "strip")]
+    def metric_sources(self) -> List[Tuple[str, Collector]]:
+        """``(namespace, collector)`` pairs for the metrics registry; each
+        collector returns plain keys."""
+        return []
 
 
 class GuaBackend(UpdateBackend):
@@ -355,12 +311,11 @@ class GuaBackend(UpdateBackend):
         theory: ExtendedRelationalTheory,
         *,
         entailment_mode: str = "conjunct",
-        **gua_options,
+        simplify_every: Optional[int] = None,
     ):
+        # simplify_every is the pipeline's maintain stage on this backend.
         self._theory = theory
-        self.executor = GuaExecutor(
-            theory, entailment_mode=entailment_mode, **gua_options
-        )
+        self.executor = GuaExecutor(theory, entailment_mode=entailment_mode)
 
     @property
     def theory(self) -> ExtendedRelationalTheory:
@@ -393,17 +348,12 @@ class GuaBackend(UpdateBackend):
     def size(self) -> int:
         return self._theory.size()
 
-    def statistics(self) -> Dict[str, int]:
-        stats = dict(self._theory.statistics())
-        stats.update(self._theory.solver_statistics())
-        return stats
-
-    def metric_sources(self):
+    def metric_sources(self) -> List[Tuple[str, Collector]]:
         theory = self._theory
         return [
-            ("theory", theory.statistics, None, "strip"),
-            ("sat", theory.sat_stats.as_dict, "sat_", "join"),
-            ("tseitin", theory.tseitin_statistics, "tseitin_", "join"),
+            ("theory", theory.statistics),
+            ("sat", theory.sat_stats.as_dict),
+            ("tseitin", theory.tseitin_statistics),
         ]
 
 
@@ -417,6 +367,7 @@ class LogBackend(UpdateBackend):
         self,
         base: Optional[ExtendedRelationalTheory] = None,
         *,
+        entailment_mode: str = "conjunct",
         simplify_every: Optional[int] = None,
     ):
         self.store = LogStructuredStore(base, simplify_every=simplify_every)
@@ -461,11 +412,8 @@ class LogBackend(UpdateBackend):
     def compact(self) -> None:
         self.store.compact()
 
-    def statistics(self) -> Dict[str, int]:
-        return self.store.statistics()
-
-    def metric_sources(self):
-        return [("log", self.store.statistics, "log_", "join")]
+    def metric_sources(self) -> List[Tuple[str, Collector]]:
+        return [("log", self.store.statistics)]
 
 
 class NaiveBackend(UpdateBackend):
@@ -480,7 +428,13 @@ class NaiveBackend(UpdateBackend):
     name = "naive"
     FEATURES = frozenset()
 
-    def __init__(self, base: Optional[ExtendedRelationalTheory] = None):
+    def __init__(
+        self,
+        base: Optional[ExtendedRelationalTheory] = None,
+        *,
+        entailment_mode: str = "conjunct",
+        simplify_every: Optional[int] = None,
+    ):
         base = base or ExtendedRelationalTheory()
         self.store = NaiveWorldStore.from_theory(base)
         self._universe = set(base.atom_universe())
@@ -526,8 +480,12 @@ class NaiveBackend(UpdateBackend):
             "universe_atoms": len(self._universe),
         }
 
+    def metric_sources(self) -> List[Tuple[str, Collector]]:
+        return [("naive", self.statistics)]
 
-#: backend name -> constructor; :func:`make_backend` is the registry lookup.
+
+#: backend name -> constructor ``(base, *, entailment_mode, simplify_every)``;
+#: each ignores the options it does not use.
 BACKENDS = {
     "gua": GuaBackend,
     "log": LogBackend,
@@ -543,16 +501,14 @@ def make_backend(
     simplify_every: Optional[int] = None,
 ) -> UpdateBackend:
     """Instantiate a backend by registry name over a base theory."""
-    if name == "gua":
-        return GuaBackend(base, entailment_mode=entailment_mode)
-    if name == "log":
-        return LogBackend(base, simplify_every=simplify_every)
-    if name == "naive":
-        return NaiveBackend(base)
-    if name in BACKENDS:  # registered externally
-        return BACKENDS[name](base)
-    raise UpdateError(
-        f"unknown backend {name!r} (expected one of {sorted(BACKENDS)})"
+    try:
+        backend = BACKENDS[name]
+    except KeyError:
+        raise UpdateError(
+            f"unknown backend {name!r} (expected one of {sorted(BACKENDS)})"
+        ) from None
+    return backend(
+        base, entailment_mode=entailment_mode, simplify_every=simplify_every
     )
 
 
@@ -655,6 +611,7 @@ class UpdatePipeline:
                 entry = self.journal.record(
                     normalized.executable, self.backend.size()
                 )
+                trace.sequence = entry.sequence
                 event.detail["kind"] = entry.kind
                 event.detail["sequence"] = entry.sequence
 

@@ -22,7 +22,7 @@ the process lives) that upper layers use as a cache key — e.g. the GUA
 axiom-instance registry keys on ``instance.arena_id``.
 
 The module-level :data:`ARENA` instance is process-global; its counters
-feed ``Database.statistics()`` and the ``repro.bench.intern_bench`` driver.
+appear under ``arena.*`` in every ``Database.metrics_snapshot()``.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ class FormulaArena:
         #: Lookups that had to allocate a new node.
         self.misses = 0
         # Per-pass DAG-memo traffic (e.g. "elim", "nnf", "fold"), recorded
-        # by the transform layer so .stats can show how much sharing the
+        # by the transform layer so .metrics can show how much sharing the
         # memoized passes actually exploit.
         self._memo_hits: Dict[str, int] = {}
         self._memo_misses: Dict[str, int] = {}
@@ -89,23 +89,22 @@ class FormulaArena:
         return self.hits / total if total else 0.0
 
     def statistics(self) -> Dict[str, float]:
-        """Flat metric dict, merged into ``Database.statistics()``.
+        """Plain keys; the metrics registry namespaces them under ``arena``.
 
-        Keys: ``arena_interned_nodes`` (live), ``arena_intern_hits`` /
-        ``arena_intern_misses`` (cumulative), ``arena_hit_rate``, and one
-        ``arena_memo_<pass>_hits``/``_misses`` pair per transform pass
-        that has run.
+        Keys: ``interned_nodes`` (live), ``intern_hits`` / ``intern_misses``
+        (cumulative), ``hit_rate``, and one ``memo_<pass>_hits``/``_misses``
+        pair per transform pass that has run.
         """
         stats: Dict[str, float] = {
-            "arena_interned_nodes": self.live_nodes(),
-            "arena_intern_hits": self.hits,
-            "arena_intern_misses": self.misses,
-            "arena_hit_rate": round(self.hit_rate(), 4),
+            "interned_nodes": self.live_nodes(),
+            "intern_hits": self.hits,
+            "intern_misses": self.misses,
+            "hit_rate": round(self.hit_rate(), 4),
         }
         for name, count in sorted(self._memo_hits.items()):
-            stats[f"arena_memo_{name}_hits"] = count
+            stats[f"memo_{name}_hits"] = count
         for name, count in sorted(self._memo_misses.items()):
-            stats[f"arena_memo_{name}_misses"] = count
+            stats[f"memo_{name}_misses"] = count
         return stats
 
     def __repr__(self) -> str:

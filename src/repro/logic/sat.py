@@ -21,7 +21,8 @@ Atoms are interned to dense integer variables internally; the public API
 speaks atoms and :class:`~repro.logic.valuation.Valuation`.  Work counters
 (decisions, propagations, conflicts) accumulate in a :class:`SolverStats`
 that callers may share across solvers — the theory layer threads one through
-every reasoning service so ``Database.statistics()`` can report them.
+every reasoning service, and ``Database.metrics_snapshot()`` reports them under
+``sat.*``.
 """
 
 from __future__ import annotations
@@ -65,12 +66,13 @@ class SolverStats:
         self.clauses_added = 0
 
     def as_dict(self) -> Dict[str, int]:
+        """Plain keys; the metrics registry namespaces them under ``sat``."""
         return {
-            "sat_decisions": self.decisions,
-            "sat_propagations": self.propagations,
-            "sat_conflicts": self.conflicts,
-            "sat_solve_calls": self.solve_calls,
-            "sat_clauses_added": self.clauses_added,
+            "decisions": self.decisions,
+            "propagations": self.propagations,
+            "conflicts": self.conflicts,
+            "solve_calls": self.solve_calls,
+            "clauses_added": self.clauses_added,
         }
 
     def __repr__(self) -> str:

@@ -7,8 +7,8 @@ pipeline tracer's stage timings, the arena counters) with one layer:
 
 * :func:`span` / :data:`TRACER` — hierarchical span tracing with contextvar
   propagation (:mod:`repro.obs.spans`); disabled by default, ~free when off;
-* :class:`MetricsRegistry` — namespaced counters/gauges/histograms plus
-  pull collectors over the existing statistics sources
+* :class:`MetricsRegistry` — one dotted namespace over counters, histograms
+  and pull collectors of the engine's plain-key statistics sources
   (:mod:`repro.obs.metrics`);
 * :mod:`repro.obs.export` — JSON-lines span logs, Chrome ``trace_event``
   files for ``chrome://tracing``, plaintext metric dumps;
@@ -33,7 +33,7 @@ from repro.obs.export import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.obs.spans import TRACER, Span, SpanTracer, configure, enabled, span
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "configure",
     "enabled",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "spans_to_jsonl",

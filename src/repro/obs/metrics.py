@@ -1,40 +1,31 @@
 """The central metrics registry: one namespaced snapshot for the engine.
 
-Before this module the engine's health numbers lived in six scattered
-``statistics()`` dicts — theory sizes, SAT counters, the Tseitin clause
-cache, the log store, the pipeline tracer, the formula arena — merged by
-``Database.statistics()`` with nothing preventing two sources from claiming
-the same key.  The registry gives every source a *namespace* and every
-metric a dotted name (``sat.conflicts``, ``arena.hit_rate``,
-``pipeline.execute.seconds``), and derives the old flat names as a
-collision-checked back-compat view.
+The engine's health numbers live with their owners — theory sizes, SAT
+counters, the Tseitin clause cache, the log store, the formula arena, the
+span tracer — each reporting plain keys (``wffs``, ``conflicts``,
+``hit_rate``).  The registry gives every source a *namespace* and adds it in
+one place, so every metric has exactly one dotted name (``theory.wffs``,
+``sat.conflicts``, ``arena.hit_rate``, ``pipeline.execute.seconds.p90``);
+two sources producing the same dotted name is a registration bug and makes
+:meth:`MetricsRegistry.snapshot` raise.
 
-Three instrument kinds are supported for code that wants to *push* values
+Two instrument kinds are supported for code that wants to *push* values
 (the pipeline feeds per-stage duration histograms), and *collectors* pull
-from the existing counter owners at snapshot time, so hot paths keep their
+from the counter owners at snapshot time, so hot paths keep their
 zero-overhead plain-int counters:
 
 * :class:`Counter` — monotonically increasing value;
-* :class:`Gauge` — last-set value;
 * :class:`Histogram` — fixed-bucket distribution with estimated
   percentiles (p50/p90/p99), count, and sum.
-
-Flattening styles (how a namespaced key maps to the legacy flat key):
-
-* ``"join"`` — dots become underscores (``sat.conflicts`` ->
-  ``sat_conflicts``);
-* ``"strip"`` — the namespace is dropped (``theory.wffs`` -> ``wffs``),
-  for sources whose historical keys never carried a prefix.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Tuple, Union
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "MetricValue",
@@ -42,8 +33,8 @@ __all__ = [
 
 MetricValue = Union[int, float]
 
-#: Default histogram buckets, tuned for sub-second stage durations.
-DEFAULT_BUCKETS: Tuple[float, ...] = (
+#: Histogram bucket upper bounds, tuned for sub-second stage durations.
+BUCKETS: Tuple[float, ...] = (
     0.0001,
     0.0005,
     0.001,
@@ -75,39 +66,20 @@ class Counter:
         return {self.name: self.value}
 
 
-class Gauge:
-    """A point-in-time value (last write wins)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value: MetricValue = 0
-
-    def set(self, value: MetricValue) -> None:
-        self.value = value
-
-    def snapshot(self) -> Dict[str, MetricValue]:
-        return {self.name: self.value}
-
-
 class Histogram:
     """Fixed-bucket histogram with percentile estimates.
 
-    Buckets are upper bounds; an observation lands in the first bucket
+    :data:`BUCKETS` are upper bounds; an observation lands in the first bucket
     whose bound is >= the value (one overflow bucket catches the rest).
     Percentiles are estimated as the upper bound of the bucket containing
     the target rank — coarse, bounded-memory, monotone.
     """
 
-    __slots__ = ("name", "bounds", "counts", "overflow", "count", "total")
+    __slots__ = ("name", "counts", "overflow", "count", "total")
 
-    def __init__(self, name: str, buckets: Sequence[float] = DEFAULT_BUCKETS):
-        if not buckets or list(buckets) != sorted(buckets):
-            raise ValueError("histogram buckets must be sorted and non-empty")
+    def __init__(self, name: str):
         self.name = name
-        self.bounds: Tuple[float, ...] = tuple(buckets)
-        self.counts: List[int] = [0] * len(self.bounds)
+        self.counts: List[int] = [0] * len(BUCKETS)
         self.overflow = 0
         self.count = 0
         self.total = 0.0
@@ -115,8 +87,8 @@ class Histogram:
     def observe(self, value: float) -> None:
         self.count += 1
         self.total += value
-        index = bisect.bisect_left(self.bounds, value)
-        if index == len(self.bounds):
+        index = bisect.bisect_left(BUCKETS, value)
+        if index == len(BUCKETS):
             self.overflow += 1
         else:
             self.counts[index] += 1
@@ -127,7 +99,7 @@ class Histogram:
             return 0.0
         rank = max(1, int(round(q / 100.0 * self.count)))
         seen = 0
-        for bound, bucket_count in zip(self.bounds, self.counts):
+        for bound, bucket_count in zip(BUCKETS, self.counts):
             seen += bucket_count
             if seen >= rank:
                 return bound
@@ -156,11 +128,8 @@ class MetricsRegistry:
     """
 
     def __init__(self):
-        self._instruments: Dict[str, Union[Counter, Gauge, Histogram]] = {}
-        #: name -> (namespace, collector fn, key transform, flatten style)
-        self._collectors: Dict[
-            str, Tuple[str, Collector, Optional[str], str]
-        ] = {}
+        self._instruments: Dict[str, Union[Counter, Histogram]] = {}
+        self._collectors: Dict[str, Collector] = {}
 
     # -- instruments --------------------------------------------------------
 
@@ -179,87 +148,42 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         return self._instrument(name, Counter)
 
-    def gauge(self, name: str) -> Gauge:
-        return self._instrument(name, Gauge)
-
-    def histogram(
-        self, name: str, buckets: Sequence[float] = DEFAULT_BUCKETS
-    ) -> Histogram:
-        instrument = self._instruments.get(name)
-        if instrument is None:
-            instrument = Histogram(name, buckets)
-            self._instruments[name] = instrument
-        elif not isinstance(instrument, Histogram):
-            raise TypeError(f"metric {name!r} already registered")
-        return instrument
+    def histogram(self, name: str) -> Histogram:
+        return self._instrument(name, Histogram)
 
     # -- collectors ---------------------------------------------------------
 
-    def register_collector(
-        self,
-        namespace: str,
-        collector: Collector,
-        *,
-        strip: Optional[str] = None,
-        flatten: str = "join",
-    ) -> None:
-        """Attach a pull source whose keys are namespaced at snapshot time.
-
-        ``strip`` removes a legacy prefix from the source's raw keys before
-        namespacing (``sat_decisions`` with ``strip="sat_"`` becomes
-        ``sat.decisions``); ``flatten`` picks the legacy flat-name style
-        (see module docstring).  Registering the same namespace twice
-        replaces the previous collector.
-        """
-        if flatten not in ("join", "strip"):
-            raise ValueError(f"unknown flatten style {flatten!r}")
-        self._collectors[namespace] = (namespace, collector, strip, flatten)
+    def register_collector(self, namespace: str, collector: Collector) -> None:
+        """Attach a pull source whose plain keys are namespaced at snapshot
+        time (``conflicts`` under ``sat`` becomes ``sat.conflicts``).
+        Registering the same namespace twice replaces the previous
+        collector."""
+        self._collectors[namespace] = collector
 
     # -- snapshots ----------------------------------------------------------
 
     def snapshot(self) -> Dict[str, MetricValue]:
-        """All metrics under their namespaced dotted names."""
-        out: Dict[str, MetricValue] = {}
-        for namespace, collector, strip, _ in self._collectors.values():
-            for raw_key, value in collector().items():
-                key = raw_key
-                if strip and key.startswith(strip):
-                    key = key[len(strip):]
-                out[f"{namespace}.{key}"] = value
-        for instrument in self._instruments.values():
-            out.update(instrument.snapshot())
-        return out
+        """All metrics under their namespaced dotted names.
 
-    def flat_snapshot(self) -> Dict[str, MetricValue]:
-        """The legacy flat view (``Database.statistics()`` names).
-
-        Every key is namespaced at its source and mapped back here through
-        the source's declared flatten style; a collision between two
-        sources is a registration bug and raises immediately instead of
-        silently shadowing a metric.
+        A key produced by two sources raises :class:`ValueError` naming
+        both, instead of silently shadowing a metric.
         """
-        flat: Dict[str, MetricValue] = {}
+        out: Dict[str, MetricValue] = {}
         owner: Dict[str, str] = {}
 
         def put(key: str, value: MetricValue, source: str) -> None:
-            if key in flat:
+            if key in out:
                 raise ValueError(
                     f"metric key collision: {key!r} produced by both "
                     f"{owner[key]!r} and {source!r}"
                 )
-            flat[key] = value
+            out[key] = value
             owner[key] = source
 
-        for namespace, collector, strip, style in self._collectors.values():
-            for raw_key, value in collector().items():
-                key = raw_key
-                if strip and key.startswith(strip):
-                    key = key[len(strip):]
-                if style == "strip":
-                    put(key.replace(".", "_"), value, namespace)
-                else:
-                    put(f"{namespace}.{key}".replace(".", "_"), value, namespace)
+        for namespace, collector in self._collectors.items():
+            for key, value in collector().items():
+                put(f"{namespace}.{key}", value, namespace)
         for name, instrument in self._instruments.items():
             for key, value in instrument.snapshot().items():
-                put(key.replace(".", "_"), value, f"instrument:{name}")
-        return flat
+                put(key, value, f"instrument:{name}")
+        return out

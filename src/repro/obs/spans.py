@@ -18,10 +18,6 @@ compute attributes guard with ``if sp:`` (the no-op span is falsy)::
         ...
         if sp:
             sp.attrs["renamed"] = len(mapping)
-
-Sampling: ``configure(sample_every=n)`` traces every n-th root span and
-suppresses the descendants of unsampled roots, bounding overhead on
-update-heavy workloads without losing the shape of the trace.
 """
 
 from __future__ import annotations
@@ -33,11 +29,8 @@ from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 __all__ = ["Span", "SpanTracer", "TRACER", "span", "configure", "enabled"]
 
-#: The innermost active span of the current context (None outside any span;
-#: the ``_SUPPRESSED`` sentinel inside an unsampled root).
+#: The innermost active span of the current context (None outside any span).
 _CURRENT: ContextVar[Optional["Span"]] = ContextVar("repro_obs_span", default=None)
-
-_SUPPRESSED = object()
 
 
 class _NullAttrs(dict):
@@ -68,26 +61,6 @@ class _NoopSpan:
 
 
 NOOP = _NoopSpan()
-
-
-class _SuppressSpan:
-    """Context manager for an unsampled root: marks the context suppressed
-    so every descendant ``span()`` call short-circuits to the no-op."""
-
-    __slots__ = ("_token",)
-
-    attrs = _NullAttrs()
-
-    def __enter__(self) -> "_SuppressSpan":
-        self._token = _CURRENT.set(_SUPPRESSED)
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        _CURRENT.reset(self._token)
-        return False
-
-    def __bool__(self) -> bool:
-        return False
 
 
 class Span:
@@ -135,7 +108,7 @@ class Span:
         if exc_type is not None:
             self.attrs["error"] = exc_type.__name__
         parent = self._parent
-        if isinstance(parent, Span):
+        if parent is not None:
             parent.children.append(self)
         else:
             self._tracer._finish_root(self)
@@ -182,7 +155,7 @@ class Span:
 
 
 class SpanTracer:
-    """Process-wide span collector: enable flag, sampling, root ring buffer.
+    """Process-wide span collector: enable flag and root ring buffer.
 
     The ring buffer holds finished *root* spans only (children hang off
     their parents), bounding memory regardless of workload length.  The
@@ -195,11 +168,9 @@ class SpanTracer:
 
     def __init__(self, keep_last: int = 256):
         self.enabled = False
-        self.sample_every = 1
         self.epoch = time.perf_counter()
         self.spans_started = 0
         self.roots_finished = 0
-        self._roots_seen = 0
         self._ring: Deque[Span] = deque(maxlen=keep_last)
 
     # -- configuration ------------------------------------------------------
@@ -209,23 +180,17 @@ class SpanTracer:
         *,
         enabled: Optional[bool] = None,
         keep_last: Optional[int] = None,
-        sample_every: Optional[int] = None,
     ) -> None:
         if enabled is not None:
             self.enabled = enabled
         if keep_last is not None:
             self._ring = deque(self._ring, maxlen=keep_last)
-        if sample_every is not None:
-            if sample_every < 1:
-                raise ValueError("sample_every must be >= 1")
-            self.sample_every = sample_every
 
     def reset(self) -> None:
         """Drop collected spans and counters (configuration is kept)."""
         self._ring.clear()
         self.spans_started = 0
         self.roots_finished = 0
-        self._roots_seen = 0
         self.epoch = time.perf_counter()
 
     # -- span creation ------------------------------------------------------
@@ -234,15 +199,6 @@ class SpanTracer:
         """A context manager timing one region (no-op while disabled)."""
         if not self.enabled:
             return NOOP
-        current = _CURRENT.get()
-        if current is _SUPPRESSED:
-            return NOOP
-        if current is None:
-            self._roots_seen += 1
-            if self.sample_every > 1 and (
-                (self._roots_seen - 1) % self.sample_every
-            ):
-                return _SuppressSpan()
         return Span(name, attrs, self)
 
     def _finish_root(self, root: Span) -> None:
@@ -281,7 +237,6 @@ class SpanTracer:
         """Plain keys; the metrics registry namespaces them under ``obs``."""
         return {
             "enabled": int(self.enabled),
-            "sample_every": self.sample_every,
             "spans_started": self.spans_started,
             "roots_finished": self.roots_finished,
             "roots_buffered": len(self._ring),
@@ -300,8 +255,7 @@ def span(name: str, **attrs: Any):
 
 
 def configure(**kwargs) -> None:
-    """Configure the process tracer (``enabled``, ``keep_last``,
-    ``sample_every``)."""
+    """Configure the process tracer (``enabled``, ``keep_last``)."""
     TRACER.configure(**kwargs)
 
 

@@ -316,25 +316,14 @@ class ExtendedRelationalTheory:
             "dependencies": len(self._dependencies),
         }
 
-    def solver_statistics(self) -> Dict[str, int]:
-        """Work counters of the reasoning layer.
-
-        SAT counters (``sat_decisions``, ``sat_propagations``,
-        ``sat_conflicts``, ``sat_solve_calls``, ``sat_clauses_added``)
-        accumulate across every solver the theory's services created; the
-        ``tseitin_cache_*`` counters record per-wff clause-cache traffic in
-        :meth:`clauses`.  Counters are cumulative; see
-        :meth:`reset_solver_statistics`.
-        """
-        stats = self.sat_stats.as_dict()
-        stats.update(self.tseitin_statistics())
-        return stats
-
     def tseitin_statistics(self) -> Dict[str, int]:
-        """The per-wff clause-cache counters alone (one metrics source)."""
+        """Per-wff clause-cache traffic in :meth:`clauses` (``cache_hits``,
+        ``cache_misses``; namespaced under ``tseitin``).  The SAT work
+        counters are ``sat_stats.as_dict()``.  Both are cumulative; see
+        :meth:`reset_solver_statistics`."""
         return {
-            "tseitin_cache_hits": self._clause_cache_hits,
-            "tseitin_cache_misses": self._clause_cache_misses,
+            "cache_hits": self._clause_cache_hits,
+            "cache_misses": self._clause_cache_misses,
         }
 
     def reset_solver_statistics(self) -> None:

@@ -1,6 +1,7 @@
 """Unit tests for the LDML shell (repro.cli)."""
 
 import io
+import re
 
 import pytest
 
@@ -65,6 +66,8 @@ class TestHandleCommand:
         for stage in ("parse", "normalize", "tag", "execute", "journal",
                       "maintain"):
             assert stage in text
+            # The cumulative section reads the stage histograms.
+            assert re.search(rf"\n  {stage}\s+1 calls", text), stage
 
     def test_trace_open_update(self, db):
         handle_command(db, "INSERT P(a) WHERE T")
@@ -126,7 +129,7 @@ class TestHandleCommand:
         handle_command(db, ".metrics", out=out)
         text = out.getvalue()
         assert "theory.wffs" in text
-        assert "pipeline.execute.calls" in text
+        assert "pipeline.execute.seconds.count" in text
 
     def test_spans_hint_when_tracing_off(self, db):
         handle_command(db, "INSERT P(a) WHERE T")

@@ -1,10 +1,10 @@
 """Regression tests for the incremental-SAT PR's engine-level fixes.
 
 * ``Database.update`` must route :class:`OpenUpdate` objects through the
-  grounding path instead of crashing in ``_tagged``;
+  grounding path instead of crashing in the tag step;
 * ``Database.rollback`` must restore the auto-simplifier's cadence along
   with the theory;
-* ``Database.statistics()`` must surface the solver and clause-cache
+* ``Database.metrics_snapshot()`` must surface the solver and clause-cache
   counters;
 * the per-wff Tseitin cache must invalidate when GUA renames an atom in
   place (the Step 2 rewrite mutates stored wffs without replacing them).
@@ -22,7 +22,7 @@ class TestOpenUpdateRouting:
         db = Database()
         db.update("INSERT Emp(alice, sales) WHERE T")
         db.update("INSERT Emp(bob, sales) WHERE T")
-        # Passing the parsed object used to fall through to _tagged and
+        # Passing the parsed object used to fall through to the tag step and
         # crash with AttributeError (OpenUpdate has no .to_insert()).
         result = db.update(parse_open_update("DELETE Emp(?x, sales) WHERE Emp(?x, sales)"))
         assert result is not None
@@ -99,23 +99,23 @@ class TestStatisticsSurface:
         db = Database()
         db.update("INSERT P(a) | P(b) WHERE T")
         db.ask("P(a)")
-        stats = db.statistics()
+        stats = db.metrics_snapshot()
         for key in (
-            "wffs",
-            "nodes",
-            "ground_atoms",
-            "sat_decisions",
-            "sat_propagations",
-            "sat_conflicts",
-            "sat_solve_calls",
-            "sat_clauses_added",
-            "tseitin_cache_hits",
-            "tseitin_cache_misses",
-            "updates_applied",
+            "theory.wffs",
+            "theory.nodes",
+            "theory.ground_atoms",
+            "sat.decisions",
+            "sat.propagations",
+            "sat.conflicts",
+            "sat.solve_calls",
+            "sat.clauses_added",
+            "tseitin.cache_hits",
+            "tseitin.cache_misses",
+            "engine.updates_applied",
         ):
             assert key in stats, key
-        assert stats["updates_applied"] == 1
-        assert stats["sat_solve_calls"] > 0
+        assert stats["engine.updates_applied"] == 1
+        assert stats["sat.solve_calls"] > 0
 
     def test_query_burst_hits_clause_cache(self):
         db = Database()
@@ -123,19 +123,19 @@ class TestStatisticsSurface:
         db.theory.reset_solver_statistics()
         for _ in range(5):
             db.ask("P(a)")
-        stats = db.statistics()
+        stats = db.metrics_snapshot()
         # After the first query encodes the section, the rest are pure hits.
-        assert stats["tseitin_cache_hits"] > stats["tseitin_cache_misses"]
+        assert stats["tseitin.cache_hits"] > stats["tseitin.cache_misses"]
 
     def test_cli_stats_command(self, capsys):
         from repro.cli import handle_command
 
         db = Database()
         db.update("INSERT P(a) WHERE T")
-        handle_command(db, ".stats")
+        handle_command(db, ".metrics")
         output = capsys.readouterr().out
-        assert "sat_solve_calls" in output
-        assert "tseitin_cache_misses" in output
+        assert "sat.solve_calls" in output
+        assert "tseitin.cache_misses" in output
 
 
 class TestPerWffCacheInvalidation:
@@ -153,10 +153,10 @@ class TestPerWffCacheInvalidation:
         )))
         db.theory.store.rename(atom, PredicateConstant("@fresh_pc"))
         db.theory.clauses()
-        stats = db.theory.solver_statistics()
+        stats = db.theory.tseitin_statistics()
         # Only the wff(s) containing P(a) re-encode; Q(b)'s wff hits.
-        assert stats["tseitin_cache_misses"] >= 1
-        assert stats["tseitin_cache_hits"] >= 1
+        assert stats["cache_misses"] >= 1
+        assert stats["cache_hits"] >= 1
 
     def test_worlds_correct_after_gua_rename(self):
         # GUA Step 2 renames in place; stale clause caches would leave the

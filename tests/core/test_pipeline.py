@@ -5,6 +5,7 @@ import pytest
 from repro.core.engine import Database
 from repro.core.pipeline import (
     STAGES,
+    TRACE_HISTORY,
     NormalizedUpdate,
     PipelineTracer,
     UpdateTrace,
@@ -12,11 +13,13 @@ from repro.core.pipeline import (
 from repro.core.transaction import KIND_GROUND, KIND_SIMULTANEOUS
 from repro.errors import ParseError
 from repro.ldml.parser import parse_update
+from repro.obs.metrics import MetricsRegistry
 
 
 class TestTracer:
     def test_stage_timing_accumulates(self):
-        tracer = PipelineTracer()
+        registry = MetricsRegistry()
+        tracer = PipelineTracer(registry)
         tracer.begin("gua")
         with tracer.stage("parse"):
             pass
@@ -29,53 +32,61 @@ class TestTracer:
         assert [e.stage for e in trace.events] == ["parse", "execute"]
         assert all(e.seconds >= 0 for e in trace.events)
         assert trace.events[1].detail["wffs_added"] == 2
-        assert tracer.updates_traced == 1
+        assert len(tracer.history()) == 1
+        snap = registry.snapshot()
+        assert snap["pipeline.parse.seconds.count"] == 1
+        assert snap["pipeline.execute.seconds.count"] == 1
 
     def test_abort_drops_trace_but_keeps_totals(self):
-        tracer = PipelineTracer()
+        registry = MetricsRegistry()
+        tracer = PipelineTracer(registry)
         tracer.begin("gua")
         with tracer.stage("parse"):
             pass
         tracer.abort()
         assert tracer.last() is None
-        assert tracer.updates_traced == 0
-        calls, _seconds = tracer.stage_totals()["parse"]
-        assert calls == 1
+        assert tracer.history() == ()
+        assert registry.snapshot()["pipeline.parse.seconds.count"] == 1
 
     def test_bounded_history(self):
-        tracer = PipelineTracer(keep_last=3)
-        for _ in range(5):
+        registry = MetricsRegistry()
+        tracer = PipelineTracer(registry)
+        for _ in range(TRACE_HISTORY + 2):
             tracer.begin("gua")
             with tracer.stage("parse"):
                 pass
             tracer.commit()
-        assert len(tracer.history()) == 3
-        assert tracer.updates_traced == 5
+        assert len(tracer.history()) == TRACE_HISTORY
+        assert (
+            registry.snapshot()["pipeline.parse.seconds.count"]
+            == TRACE_HISTORY + 2
+        )
 
     def test_statistics_keys(self):
-        tracer = PipelineTracer()
-        stats = tracer.statistics()
-        assert stats["pipeline_updates"] == 0
+        registry = MetricsRegistry()
+        PipelineTracer(registry)
+        snap = registry.snapshot()
         for stage in STAGES:
-            assert stats[f"pipeline_{stage}_calls"] == 0
-            assert stats[f"pipeline_{stage}_seconds"] == 0.0
+            assert snap[f"pipeline.{stage}.seconds.count"] == 0
+            assert snap[f"pipeline.{stage}.seconds.sum"] == 0.0
 
 
 class TestDatabaseStageStatistics:
-    """Regression: statistics() must report per-stage pipeline timings."""
+    """Regression: metrics_snapshot() must report per-stage pipeline
+    timings."""
 
     @pytest.mark.parametrize("backend", ["gua", "log", "naive"])
     def test_every_stage_counted_per_update(self, backend):
         db = Database(backend=backend)
         db.update("INSERT P(a) | P(b) WHERE T")
         db.update("ASSERT P(a)")
-        stats = db.statistics()
-        assert stats["pipeline_updates"] == 2
+        stats = db.metrics_snapshot()
+        assert stats["engine.updates_applied"] == 2
         for stage in STAGES:
-            assert stats[f"pipeline_{stage}_calls"] == 2, stage
-            assert stats[f"pipeline_{stage}_seconds"] >= 0.0
+            assert stats[f"pipeline.{stage}.seconds.count"] == 2, stage
+            assert stats[f"pipeline.{stage}.seconds.sum"] >= 0.0
         # Execution took measurable (nonzero) time somewhere.
-        assert stats["pipeline_execute_seconds"] > 0.0
+        assert stats["pipeline.execute.seconds.sum"] > 0.0
 
     def test_last_trace_shape(self):
         db = Database()
@@ -84,6 +95,7 @@ class TestDatabaseStageStatistics:
         assert [e.stage for e in trace.events] == list(STAGES)
         assert trace.backend == "gua"
         assert trace.kind == KIND_GROUND
+        assert trace.sequence == db.transactions.log.entries()[-1].sequence
         assert trace.total_seconds == sum(e.seconds for e in trace.events)
 
     def test_open_update_traced_as_open(self):
@@ -100,7 +112,7 @@ class TestDatabaseStageStatistics:
         with pytest.raises(ParseError):
             db.update("FROBNICATE P(a)")
         assert db.last_trace() is None
-        assert db.statistics()["pipeline_updates"] == 0
+        assert db.metrics_snapshot()["engine.updates_applied"] == 0
         assert len(db.transactions.log) == 0
 
 

@@ -111,7 +111,7 @@ class TestCommutativityEndToEnd:
         for statement in script:
             from repro.ldml.parser import parse_update
 
-            update = db._tagged(parse_update(statement))
+            update = db.pipeline.tag_ground(parse_update(statement))
             naive.apply(update)
             db.update(statement)
         assert frozenset(db.theory.alternative_worlds()) == naive.worlds

@@ -153,7 +153,7 @@ class TestEndToEnd:
             "INSERT Emp(?y,sales) & !Emp(?y,hr) WHERE Emp(?y,hr)"
         ).expand(db.theory)
         swap = SimultaneousInsert(list(to_hr.pairs) + list(to_sales.pairs))
-        db._executor.apply_simultaneous(swap)
+        db.update(swap)
         assert db.is_certain("Emp(alice,hr) & Emp(carol,sales)")
         assert not db.is_possible("Emp(alice,sales) | Emp(carol,hr)")
 

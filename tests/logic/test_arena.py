@@ -118,9 +118,9 @@ class TestFormulaInterning:
         assert second is first
         assert ARENA.hits > probe_hits
         stats = ARENA.statistics()
-        assert stats["arena_intern_hits"] == ARENA.hits
-        assert 0.0 <= stats["arena_hit_rate"] <= 1.0
-        assert stats["arena_interned_nodes"] > 0
+        assert stats["intern_hits"] == ARENA.hits
+        assert 0.0 <= stats["hit_rate"] <= 1.0
+        assert stats["interned_nodes"] > 0
 
 
 # -- the randomized identity-vs-structure property -----------------------------

@@ -177,7 +177,7 @@ class TestStatsCounters:
         assert stats.solve_calls == 1
         assert stats.clauses_added == 2
         snapshot = stats.as_dict()
-        assert snapshot["sat_solve_calls"] == 1
+        assert snapshot["solve_calls"] == 1
         stats.reset()
         assert stats.solve_calls == 0
 

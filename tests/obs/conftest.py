@@ -16,7 +16,7 @@ from repro.obs.spans import TRACER
 def traced():
     """Enable span tracing for one test; restore a clean, disabled tracer."""
     TRACER.reset()
-    TRACER.configure(enabled=True, sample_every=1, keep_last=256)
+    TRACER.configure(enabled=True, keep_last=256)
     yield TRACER
-    TRACER.configure(enabled=False, sample_every=1)
+    TRACER.configure(enabled=False)
     TRACER.reset()

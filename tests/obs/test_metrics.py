@@ -1,9 +1,9 @@
 """The metrics registry: instruments, collectors, namespacing, and the
-collision-checked flat back-compat view."""
+collision check of the one dotted view."""
 
 import pytest
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import BUCKETS, Counter, Histogram, MetricsRegistry
 
 
 class TestInstruments:
@@ -16,29 +16,20 @@ class TestInstruments:
             counter.inc(-1)
         assert counter.snapshot() == {"sat.conflicts": 5}
 
-    def test_gauge_last_write_wins(self):
-        gauge = Gauge("theory.wffs")
-        gauge.set(10)
-        gauge.set(7)
-        assert gauge.snapshot() == {"theory.wffs": 7}
-
     def test_histogram_buckets_and_percentiles(self):
-        histogram = Histogram("stage.seconds", buckets=[0.001, 0.01, 0.1, 1.0])
-        for value in [0.0005] * 90 + [0.05] * 9 + [5.0]:
+        assert list(BUCKETS) == sorted(BUCKETS)
+        histogram = Histogram("stage.seconds")
+        for value in [0.0008] * 90 + [0.03] * 9 + [10.0]:
             histogram.observe(value)
         snap = histogram.snapshot()
         assert snap["stage.seconds.count"] == 100
-        assert snap["stage.seconds.sum"] == pytest.approx(0.045 + 0.45 + 5.0)
+        assert snap["stage.seconds.sum"] == pytest.approx(0.072 + 0.27 + 10.0)
         # Percentile estimates are bucket upper bounds.
         assert snap["stage.seconds.p50"] == 0.001
         assert snap["stage.seconds.p90"] == 0.001
-        assert snap["stage.seconds.p99"] == 0.1
+        assert snap["stage.seconds.p99"] == 0.05
         assert histogram.overflow == 1
         assert histogram.percentile(100) == float("inf")
-
-    def test_histogram_rejects_unsorted_buckets(self):
-        with pytest.raises(ValueError):
-            Histogram("x", buckets=[0.1, 0.01])
 
     def test_empty_histogram(self):
         histogram = Histogram("x")
@@ -56,53 +47,39 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("a")
         with pytest.raises(TypeError):
-            registry.gauge("a")
-        with pytest.raises(TypeError):
             registry.histogram("a")
+        registry.histogram("h")
+        with pytest.raises(TypeError):
+            registry.counter("h")
 
     def test_collector_namespacing_with_strip(self):
+        # Sources emit plain keys; the registry adds the namespace.
         registry = MetricsRegistry()
         registry.register_collector(
-            "sat",
-            lambda: {"sat_conflicts": 3, "sat_decisions": 9},
-            strip="sat_",
+            "sat", lambda: {"conflicts": 3, "decisions": 9}
         )
         snap = registry.snapshot()
         assert snap == {"sat.conflicts": 3, "sat.decisions": 9}
 
-    def test_flat_snapshot_join_and_strip_styles(self):
+    def test_snapshot_collision_names_both_sources(self):
+        # The dotted snapshot is the one view, and it keeps the collision
+        # check: two sources producing the same key raise, naming both.
         registry = MetricsRegistry()
-        registry.register_collector(
-            "sat", lambda: {"sat_conflicts": 3}, strip="sat_", flatten="join"
-        )
-        registry.register_collector(
-            "theory", lambda: {"wffs": 5}, flatten="strip"
-        )
-        flat = registry.flat_snapshot()
-        assert flat == {"sat_conflicts": 3, "wffs": 5}
-
-    def test_flat_snapshot_collision_names_both_sources(self):
-        registry = MetricsRegistry()
-        registry.register_collector("one", lambda: {"wffs": 1}, flatten="strip")
-        registry.register_collector("two", lambda: {"wffs": 2}, flatten="strip")
-        with pytest.raises(ValueError, match="'one'.*'two'"):
-            registry.flat_snapshot()
+        registry.register_collector("one", lambda: {"two.wffs": 1})
+        registry.register_collector("one.two", lambda: {"wffs": 2})
+        with pytest.raises(ValueError, match="'one'.*'one.two'"):
+            registry.snapshot()
 
     def test_instruments_join_snapshots(self):
         registry = MetricsRegistry()
-        registry.counter("pipeline.updates").inc(2)
+        registry.counter("pipeline.errors").inc(2)
         registry.histogram("pipeline.execute.seconds").observe(0.002)
         snap = registry.snapshot()
-        assert snap["pipeline.updates"] == 2
+        assert snap["pipeline.errors"] == 2
         assert snap["pipeline.execute.seconds.count"] == 1
-        flat = registry.flat_snapshot()
-        assert flat["pipeline_updates"] == 2
-        assert flat["pipeline_execute_seconds_count"] == 1
-
-    def test_invalid_flatten_style(self):
-        registry = MetricsRegistry()
-        with pytest.raises(ValueError):
-            registry.register_collector("x", dict, flatten="camel")
+        registry.register_collector("pipeline", lambda: {"errors": 0})
+        with pytest.raises(ValueError, match="'pipeline'.*'instrument:"):
+            registry.snapshot()
 
     def test_reregistering_namespace_replaces(self):
         registry = MetricsRegistry()

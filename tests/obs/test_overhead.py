@@ -63,11 +63,11 @@ def test_tracing_overhead_within_gate(workload):
     TRACER.configure(enabled=False)
     workload()  # warm-up: imports, arena interning, code caches
     untraced = _best_of(workload)
-    TRACER.configure(enabled=True, sample_every=1)
+    TRACER.configure(enabled=True)
     try:
         traced = _best_of(workload)
     finally:
-        TRACER.configure(enabled=False, sample_every=1)
+        TRACER.configure(enabled=False)
         TRACER.reset()
     assert traced <= untraced * MAX_RATIO + ABS_SLACK, (
         f"tracing overhead {traced / untraced:.3f}x exceeds {MAX_RATIO}x "

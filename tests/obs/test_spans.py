@@ -1,5 +1,5 @@
-"""The hierarchical span tracer: nesting, no-op path, sampling, rollback
-discard, and the bounded root ring."""
+"""The hierarchical span tracer: nesting, no-op path, rollback discard, and
+the bounded root ring."""
 
 import pytest
 
@@ -93,21 +93,6 @@ class TestTracerBookkeeping:
         assert [r.attrs["index"] for r in roots] == [6, 7, 8, 9]
         assert traced.roots_finished == 10
 
-    def test_sampling_suppresses_descendants(self, traced):
-        traced.configure(sample_every=3)
-        for i in range(9):
-            with span("root", index=i):
-                with span("child"):
-                    pass
-        roots = traced.roots()
-        assert [r.attrs["index"] for r in roots] == [0, 3, 6]
-        # Sampled roots keep their subtree; suppressed ones record nothing.
-        assert all(len(r.children) == 1 for r in roots)
-
-    def test_sample_every_validates(self, traced):
-        with pytest.raises(ValueError):
-            traced.configure(sample_every=0)
-
     def test_last_root_and_find_root(self, traced):
         for i in range(3):
             with span("pipeline.update", sequence=i):
@@ -135,11 +120,14 @@ class TestTracerBookkeeping:
         assert stats["roots_buffered"] == 1
 
     def test_reset_keeps_configuration(self, traced):
-        traced.configure(sample_every=5)
+        traced.configure(keep_last=5)
         with span("root"):
             pass
         traced.reset()
         assert traced.roots() == ()
         assert traced.spans_started == 0
-        assert traced.sample_every == 5
+        for _ in range(6):
+            with span("root"):
+                pass
+        assert len(traced.roots()) == 5
         assert traced.enabled is True

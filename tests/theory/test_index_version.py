@@ -105,10 +105,10 @@ class TestInternedAtomVersioning:
         theory.reset_solver_statistics()
         theory.store.rename(parse_atom("P(a)"), PredicateConstant("@t"))
         theory.clauses()
-        stats = theory.solver_statistics()
+        stats = theory.tseitin_statistics()
         # Both wffs sharing the interned P(a) re-encode; the third hits.
-        assert stats["tseitin_cache_misses"] == 2
-        assert stats["tseitin_cache_hits"] == 1
+        assert stats["cache_misses"] == 2
+        assert stats["cache_hits"] == 1
 
     def test_worlds_correct_after_rename_of_shared_atom(self):
         theory = ExtendedRelationalTheory()
