@@ -14,7 +14,6 @@ from repro.core.pipeline import (
     GuaBackend,
     LogBackend,
     NaiveBackend,
-    NormalizedUpdate,
     PipelineTracer,
     StageEvent,
     UpdateBackend,
@@ -44,7 +43,6 @@ __all__ = [
     "GuaBackend",
     "LogBackend",
     "NaiveBackend",
-    "NormalizedUpdate",
     "PipelineTracer",
     "StageEvent",
     "UpdateBackend",

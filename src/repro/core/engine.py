@@ -71,7 +71,6 @@ class Database:
         *,
         auto_tag: bool = True,
         simplify_every: Optional[int] = None,
-        entailment_mode: str = "conjunct",
         backend: str = "gua",
     ):
         """Args:
@@ -85,8 +84,6 @@ class Database:
             simplify_every: run the Section 4 simplifier every N updates
                 (gua: in place after updates; log: during replay; naive:
                 ignored — explicit worlds have no syntactic growth).
-            entailment_mode: GUA Step 5 test — "conjunct" (paper's optimized
-                form) or "full".  Only meaningful for the gua backend.
             backend: execution strategy — ``"gua"`` (live theory, default),
                 ``"log"`` (log-structured strawman), or ``"naive"``
                 (explicit world set).
@@ -99,10 +96,7 @@ class Database:
         # mutate it, so replay always starts from the true initial state.
         self.transactions = TransactionManager(base)
         self.backend: UpdateBackend = make_backend(
-            backend,
-            base,
-            entailment_mode=entailment_mode,
-            simplify_every=simplify_every,
+            backend, base, simplify_every=simplify_every
         )
         self.metrics = MetricsRegistry()
         self.tracer = PipelineTracer(self.metrics)

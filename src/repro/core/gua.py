@@ -149,7 +149,9 @@ class GuaExecutor:
         """Perform one ground update, mutating the theory in place.
 
         Accepts a :class:`~repro.ldml.simultaneous.SimultaneousInsert` too,
-        dispatching to :meth:`apply_simultaneous`.
+        dispatching to :meth:`apply_simultaneous`: this is the one place
+        live execution, replay and ``explain_update`` choose between the
+        ground and the simultaneous path.
         """
         from repro.ldml.simultaneous import SimultaneousInsert
 

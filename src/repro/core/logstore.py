@@ -23,17 +23,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.core.gua import GuaExecutor
 from repro.core.simplification import simplify_theory
-from repro.ldml.ast import GroundUpdate
+from repro.core.transaction import JournaledUpdate, replay_updates
 from repro.ldml.parser import parse_update
-from repro.ldml.simultaneous import SimultaneousInsert
 from repro.logic.syntax import Formula
 from repro.query.answers import Answer, ask
 from repro.theory.theory import ExtendedRelationalTheory
-
-#: What the log may hold: ground updates or normalized simultaneous sets.
-LoggedUpdate = Union[GroundUpdate, SimultaneousInsert]
 
 
 class LogStructuredStore:
@@ -46,14 +41,14 @@ class LogStructuredStore:
         simplify_every: Optional[int] = None,
     ):
         self._base = (base or ExtendedRelationalTheory()).copy()
-        self._log: List[LoggedUpdate] = []
+        self._log: List[JournaledUpdate] = []
         self._simplify_every = simplify_every
         self._materialized: Optional[ExtendedRelationalTheory] = None
         self.replays = 0  #: how many times the log has been replayed
 
     # -- writes: O(1) ---------------------------------------------------------
 
-    def apply(self, update: Union[LoggedUpdate, str]) -> "LogStructuredStore":
+    def apply(self, update: Union[JournaledUpdate, str]) -> "LogStructuredStore":
         """Append to the log; invalidates the memoized state.
 
         Accepts ground updates and :class:`SimultaneousInsert` sets alike —
@@ -66,7 +61,7 @@ class LogStructuredStore:
         return self
 
     def run_script(
-        self, updates: Sequence[Union[LoggedUpdate, str]]
+        self, updates: Sequence[Union[JournaledUpdate, str]]
     ) -> "LogStructuredStore":
         for update in updates:
             self.apply(update)
@@ -83,16 +78,9 @@ class LogStructuredStore:
         Memoized until the next append.
         """
         if self._materialized is None:
-            theory = self._base.copy()
-            executor = GuaExecutor(theory)
-            for index, update in enumerate(self._log, start=1):
-                executor.apply(update)
-                if (
-                    self._simplify_every
-                    and index % self._simplify_every == 0
-                ):
-                    simplify_theory(theory)
-            self._materialized = theory
+            self._materialized = replay_updates(
+                self._base, self._log, simplify_every=self._simplify_every
+            )
             self.replays += 1
         return self._materialized
 

@@ -12,7 +12,9 @@ path:
 * **normalize** — the paper's reductions: open updates ground to a
   :class:`~repro.ldml.simultaneous.SimultaneousInsert` over the backend's
   atom universe (Section 4); ground updates pass through (their Section 3.2
-  reduction to INSERT happens inside GUA, as before);
+  reduction to INSERT happens inside GUA, as before).  From here on the
+  update is one :data:`~repro.core.transaction.JournaledUpdate` object —
+  a ground update or a simultaneous set — all the way to the journal;
 * **tag** — the Section 3.5 attribute-tagging layer (conjoin attribute
   atoms), applied once, uniformly, for every backend;
 * **execute** — the pluggable :class:`UpdateBackend` does the real work:
@@ -21,10 +23,10 @@ path:
   LogStructuredStore` (the Section 4 strawman), :class:`NaiveBackend`
   applies the model-level semantics world by world (Section 3.2's parallel
   computation method);
-* **journal** — the update is recorded in the transaction journal exactly
-  once, with its structural ``kind`` (``ground`` vs ``simultaneous``), so
-  replay and persistence see one format regardless of how the statement
-  arrived;
+* **journal** — the executed update object is recorded in the transaction
+  journal exactly once, so replay and persistence see one format regardless
+  of how the statement arrived (its ``kind``, ``ground`` or
+  ``simultaneous``, is derived from the object);
 * **maintain** — the Section 4 periodic simplifier, for backends that keep
   an incrementally-maintained theory.
 
@@ -49,7 +51,7 @@ from repro.core.gua import GuaExecutor, GuaResult, GuaStats
 from repro.core.logstore import LogStructuredStore
 from repro.core.naive import NaiveWorldStore
 from repro.core.simplification import AutoSimplifier
-from repro.core.transaction import KIND_GROUND, KIND_SIMULTANEOUS, UpdateLog
+from repro.core.transaction import JournaledUpdate, UpdateLog, kind_of
 from repro.errors import TheoryError, UpdateError
 from repro.ldml.ast import GroundUpdate, Insert
 from repro.ldml.open_updates import OpenUpdate, parse_open_update
@@ -193,31 +195,6 @@ class PipelineTracer:
         return tuple(self._history)
 
 
-# -- the normalized form -----------------------------------------------------------
-
-
-@dataclass
-class NormalizedUpdate:
-    """What the normalize/tag stages hand to a backend.
-
-    ``kind`` is ``"ground"`` (``ground`` holds a single ground update) or
-    ``"simultaneous"`` (``simultaneous`` holds the set of pairs an open or
-    explicitly-simultaneous update reduced to).
-    """
-
-    kind: str
-    original: Any
-    ground: Optional[GroundUpdate] = None
-    simultaneous: Optional[SimultaneousInsert] = None
-
-    @property
-    def executable(self) -> Union[GroundUpdate, SimultaneousInsert]:
-        return self.ground if self.kind == KIND_GROUND else self.simultaneous
-
-    def atoms(self) -> FrozenSet[GroundAtom]:
-        return self.executable.atoms()
-
-
 # -- backends ----------------------------------------------------------------------
 
 
@@ -229,7 +206,7 @@ class BackendResult:
     CLI consume (``update``, ``stats``), plus backend-specific ``detail``.
     """
 
-    update: Union[GroundUpdate, SimultaneousInsert]
+    update: JournaledUpdate
     stats: GuaStats = field(default_factory=GuaStats)
     detail: Dict[str, int] = field(default_factory=dict)
 
@@ -257,7 +234,8 @@ class UpdateBackend:
             f"the {self.name!r} backend does not expose a theory"
         )
 
-    def execute(self, normalized: NormalizedUpdate):
+    def execute(self, update: JournaledUpdate):
+        """Run one normalized, tagged update against the backend's state."""
         raise NotImplementedError
 
     def ask(self, query: Union[Formula, str]) -> Answer:
@@ -308,23 +286,20 @@ class GuaBackend(UpdateBackend):
 
     def __init__(
         self,
-        theory: ExtendedRelationalTheory,
+        base: ExtendedRelationalTheory,
         *,
-        entailment_mode: str = "conjunct",
         simplify_every: Optional[int] = None,
     ):
         # simplify_every is the pipeline's maintain stage on this backend.
-        self._theory = theory
-        self.executor = GuaExecutor(theory, entailment_mode=entailment_mode)
+        self._theory = base
+        self.executor = GuaExecutor(base)
 
     @property
     def theory(self) -> ExtendedRelationalTheory:
         return self._theory
 
-    def execute(self, normalized: NormalizedUpdate) -> GuaResult:
-        if normalized.kind == KIND_GROUND:
-            return self.executor.apply(normalized.ground)
-        return self.executor.apply_simultaneous(normalized.simultaneous)
+    def execute(self, update: JournaledUpdate) -> GuaResult:
+        return self.executor.apply(update)
 
     def ask(self, query: Union[Formula, str]) -> Answer:
         return ask_theory(self._theory, query)
@@ -367,7 +342,6 @@ class LogBackend(UpdateBackend):
         self,
         base: Optional[ExtendedRelationalTheory] = None,
         *,
-        entailment_mode: str = "conjunct",
         simplify_every: Optional[int] = None,
     ):
         self.store = LogStructuredStore(base, simplify_every=simplify_every)
@@ -377,11 +351,10 @@ class LogBackend(UpdateBackend):
         """The materialized theory — forces a (memoized) replay."""
         return self.store.materialize()
 
-    def execute(self, normalized: NormalizedUpdate) -> BackendResult:
-        self.store.apply(normalized.executable)
+    def execute(self, update: JournaledUpdate) -> BackendResult:
+        self.store.apply(update)
         return BackendResult(
-            update=normalized.executable,
-            detail={"log_pending": self.store.pending()},
+            update=update, detail={"log_pending": self.store.pending()}
         )
 
     def ask(self, query: Union[Formula, str]) -> Answer:
@@ -432,19 +405,17 @@ class NaiveBackend(UpdateBackend):
         self,
         base: Optional[ExtendedRelationalTheory] = None,
         *,
-        entailment_mode: str = "conjunct",
         simplify_every: Optional[int] = None,
     ):
         base = base or ExtendedRelationalTheory()
         self.store = NaiveWorldStore.from_theory(base)
         self._universe = set(base.atom_universe())
 
-    def execute(self, normalized: NormalizedUpdate) -> BackendResult:
-        self._universe.update(normalized.atoms())
-        self.store.apply(normalized.executable)
+    def execute(self, update: JournaledUpdate) -> BackendResult:
+        self._universe.update(update.atoms())
+        self.store.apply(update)
         return BackendResult(
-            update=normalized.executable,
-            detail={"worlds": self.store.world_count()},
+            update=update, detail={"worlds": self.store.world_count()}
         )
 
     def ask(self, query: Union[Formula, str]) -> Answer:
@@ -484,8 +455,8 @@ class NaiveBackend(UpdateBackend):
         return [("naive", self.statistics)]
 
 
-#: backend name -> constructor ``(base, *, entailment_mode, simplify_every)``;
-#: each ignores the options it does not use.
+#: backend name -> constructor ``(base, *, simplify_every)``; gua and naive
+#: ignore ``simplify_every`` (the pipeline's maintain stage handles it).
 BACKENDS = {
     "gua": GuaBackend,
     "log": LogBackend,
@@ -497,7 +468,6 @@ def make_backend(
     name: str,
     base: ExtendedRelationalTheory,
     *,
-    entailment_mode: str = "conjunct",
     simplify_every: Optional[int] = None,
 ) -> UpdateBackend:
     """Instantiate a backend by registry name over a base theory."""
@@ -507,9 +477,7 @@ def make_backend(
         raise UpdateError(
             f"unknown backend {name!r} (expected one of {sorted(BACKENDS)})"
         ) from None
-    return backend(
-        base, entailment_mode=entailment_mode, simplify_every=simplify_every
-    )
+    return backend(base, simplify_every=simplify_every)
 
 
 # -- the pipeline ------------------------------------------------------------------
@@ -583,21 +551,22 @@ class UpdatePipeline:
                 event.detail["statement"] = type(parsed).__name__
 
             with self.tracer.stage("normalize") as event:
-                normalized = self._normalize(parsed, domains)
-                trace.kind = (
-                    "open" if isinstance(parsed, OpenUpdate) else normalized.kind
-                )
+                if isinstance(parsed, OpenUpdate):
+                    update = parsed.expand(self.backend, domains)
+                    trace.kind = "open"
+                    event.detail["pairs"] = len(update)
+                else:
+                    update = parsed
+                    trace.kind = kind_of(update)
                 event.detail["kind"] = trace.kind
-                if normalized.simultaneous is not None:
-                    event.detail["pairs"] = len(normalized.simultaneous)
 
             with self.tracer.stage("tag") as event:
-                normalized = self._tag(normalized)
+                update = self._tag(update)
                 event.detail["tagged"] = self.auto_tag
-                event.detail["atoms"] = len(normalized.atoms())
+                event.detail["atoms"] = len(update.atoms())
 
             with self.tracer.stage("execute") as event:
-                result = self.backend.execute(normalized)
+                result = self.backend.execute(update)
                 event.detail["backend"] = self.backend.name
                 stats = getattr(result, "stats", None)
                 if stats is not None:
@@ -608,9 +577,7 @@ class UpdatePipeline:
                     event.detail.update(detail)
 
             with self.tracer.stage("journal") as event:
-                entry = self.journal.record(
-                    normalized.executable, self.backend.size()
-                )
+                entry = self.journal.record(update, self.backend.size())
                 trace.sequence = entry.sequence
                 event.detail["kind"] = entry.kind
                 event.detail["sequence"] = entry.sequence
@@ -657,18 +624,6 @@ class UpdatePipeline:
             "update, an open update, or a simultaneous set"
         )
 
-    def _normalize(self, parsed, domains) -> NormalizedUpdate:
-        if isinstance(parsed, OpenUpdate):
-            simultaneous = parsed.expand(self.backend, domains)
-            return NormalizedUpdate(
-                kind=KIND_SIMULTANEOUS, original=parsed, simultaneous=simultaneous
-            )
-        if isinstance(parsed, SimultaneousInsert):
-            return NormalizedUpdate(
-                kind=KIND_SIMULTANEOUS, original=parsed, simultaneous=parsed
-            )
-        return NormalizedUpdate(kind=KIND_GROUND, original=parsed, ground=parsed)
-
     def _tag_body(self, body: Formula) -> Formula:
         """Memoized ``schema.tag_with_attributes`` over interned bodies."""
         tagged = self._tag_memo.get(body)
@@ -689,24 +644,12 @@ class UpdatePipeline:
             return insert
         return Insert(tagged_body, insert.where)
 
-    def _tag(self, normalized: NormalizedUpdate) -> NormalizedUpdate:
+    def _tag(self, update: JournaledUpdate) -> JournaledUpdate:
         """The Section 3.5 attribute-tagging layer, for every backend."""
         if not self.auto_tag:
-            return normalized
-        if normalized.kind == KIND_GROUND:
-            return NormalizedUpdate(
-                kind=KIND_GROUND,
-                original=normalized.original,
-                ground=self.tag_ground(normalized.ground),
+            return update
+        if isinstance(update, SimultaneousInsert):
+            return SimultaneousInsert(
+                [(where, self._tag_body(body)) for where, body in update.pairs]
             )
-        tagged_set = SimultaneousInsert(
-            [
-                (where, self._tag_body(body))
-                for where, body in normalized.simultaneous.pairs
-            ]
-        )
-        return NormalizedUpdate(
-            kind=KIND_SIMULTANEOUS,
-            original=normalized.original,
-            simultaneous=tagged_set,
-        )
+        return self.tag_ground(update)

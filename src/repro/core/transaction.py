@@ -8,18 +8,21 @@ pipeline's journal stage), the journal can be replayed onto a fresh copy of
 the base theory (the paper's strawman, used as a baseline in tests), and
 savepoints give cheap rollback.
 
-A journal entry records either a ground update or a
-:class:`~repro.ldml.simultaneous.SimultaneousInsert` (the normalized form of
-an open update); ``entry.kind`` says which, so consumers dispatch without
-isinstance probing.
+A journal entry records the update object that executed: a ground update or
+a :class:`~repro.ldml.simultaneous.SimultaneousInsert` (the normalized form
+of an open update).  ``entry.kind`` names which, derived from the object
+itself; execution dispatches on the object in exactly one place,
+:meth:`~repro.core.gua.GuaExecutor.apply` (or
+:meth:`~repro.core.naive.NaiveWorldStore.apply` for explicit worlds).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from repro.core.gua import GuaExecutor
+from repro.core.simplification import simplify_theory
 from repro.errors import UpdateError
 from repro.ldml.ast import GroundUpdate
 from repro.ldml.simultaneous import SimultaneousInsert
@@ -49,9 +52,11 @@ class LogEntry:
 
     sequence: int
     update: JournaledUpdate
-    wall_time: float
     theory_size_after: int
-    kind: str = KIND_GROUND
+
+    @property
+    def kind(self) -> str:
+        return kind_of(self.update)
 
 
 class UpdateLog:
@@ -61,18 +66,12 @@ class UpdateLog:
         self._entries: List[LogEntry] = []
 
     def record(
-        self,
-        update: JournaledUpdate,
-        theory_size_after: int,
-        *,
-        kind: Optional[str] = None,
+        self, update: JournaledUpdate, theory_size_after: int
     ) -> LogEntry:
         entry = LogEntry(
             sequence=len(self._entries),
             update=update,
-            wall_time=time.time(),
             theory_size_after=theory_size_after,
-            kind=kind if kind is not None else kind_of(update),
         )
         self._entries.append(entry)
         return entry
@@ -156,25 +155,29 @@ class TransactionManager:
         return point.theory_snapshot
 
     def replay(self, *, upto: Optional[int] = None) -> ExtendedRelationalTheory:
-        """Rebuild the theory by re-running the journal from the base.
+        """Rebuild the theory by re-running the journal (its first *upto*
+        entries, when given) from the base; see :func:`replay_updates`."""
+        return replay_updates(self._base, self.log.updates()[:upto])
 
-        Dispatches on ``entry.kind``: ground entries run through GUA's
-        single-update path, simultaneous entries through
-        :meth:`~repro.core.gua.GuaExecutor.apply_simultaneous` — exactly the
-        two paths live execution used, so the replayed world set matches.
-        Journaled updates are already attribute-tagged; replay must not (and
-        does not) tag again.
-        """
-        from repro.core.gua import GuaExecutor
 
-        entries = self.log.entries()
-        if upto is not None:
-            entries = entries[:upto]
-        theory = self._base.copy()
-        executor = GuaExecutor(theory)
-        for entry in entries:
-            if entry.kind == KIND_SIMULTANEOUS:
-                executor.apply_simultaneous(entry.update)
-            else:
-                executor.apply(entry.update)
-        return theory
+def replay_updates(
+    base: ExtendedRelationalTheory,
+    updates: Iterable[JournaledUpdate],
+    *,
+    simplify_every: Optional[int] = None,
+) -> ExtendedRelationalTheory:
+    """A copy of *base* with *updates* re-run through one GUA executor.
+
+    :meth:`~repro.core.gua.GuaExecutor.apply` runs ground updates and
+    simultaneous sets alike, exactly as live execution did, so the replayed
+    world set matches.  Journaled updates are already attribute-tagged;
+    replay must not (and does not) tag again.  With *simplify_every*, the
+    Section 4 simplifier runs after every that many updates.
+    """
+    theory = base.copy()
+    executor = GuaExecutor(theory)
+    for index, update in enumerate(updates, start=1):
+        executor.apply(update)
+        if simplify_every and index % simplify_every == 0:
+            simplify_theory(theory)
+    return theory

@@ -99,7 +99,6 @@ def explain_update(db) -> str:
     update ran with tracing enabled.
     """
     from repro.core.gua import GuaExecutor, GuaResult
-    from repro.core.transaction import KIND_SIMULTANEOUS
 
     entries = db.transactions.log.entries()
     if not entries:
@@ -117,11 +116,7 @@ def explain_update(db) -> str:
         result = pipeline.last_result
     else:
         pre_state = db.transactions.replay(upto=entry.sequence)
-        executor = GuaExecutor(pre_state)
-        if entry.kind == KIND_SIMULTANEOUS:
-            result = executor.apply_simultaneous(entry.update)
-        else:
-            result = executor.apply(entry.update)
+        result = GuaExecutor(pre_state).apply(entry.update)
         reconstructed = True
 
     lines: List[str] = []

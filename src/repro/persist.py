@@ -16,18 +16,29 @@ Format (versioned)::
                         "determinant": [0], "dependent": [2]}, ...],
       "formulas": ["Orders(700,32,9)", "..."],
     }
+
+A ``repro-database-v1`` document adds the backend name, the live and base
+theories, ``auto_tag``, and the journal as a list of :func:`update_to_dict`
+objects (``{"op": "insert", "body": ..., "where": ...}``, ...,
+``{"op": "simultaneous", "pairs": [...]}``).  Malformed documents raise
+:class:`PersistenceError` naming the offending field, and saves replace the
+file atomically.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import uuid
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro.errors import ReproError
 from repro.ldml.ast import Assert_, Delete, Insert, Modify
+from repro.ldml.simultaneous import SimultaneousInsert
 from repro.logic.parser import parse, parse_atom
 from repro.logic.printer import to_text
+from repro.logic.syntax import Formula
 from repro.logic.terms import Predicate
 from repro.theory.dependencies import (
     FunctionalDependency,
@@ -44,6 +55,50 @@ DATABASE_FORMAT = "repro-database-v1"
 
 class PersistenceError(ReproError):
     """A file could not be interpreted as a stored theory/database."""
+
+
+def _field(data: Any, key: str, context: str, expected: type = str) -> Any:
+    """``data[key]``, or a :class:`PersistenceError` naming the missing or
+    ill-typed field."""
+    if not isinstance(data, dict) or key not in data:
+        raise PersistenceError(f"{context} has no {key!r} field")
+    value = data[key]
+    if not isinstance(value, expected):
+        raise PersistenceError(
+            f"{context} field {key!r} must be a {expected.__name__}, "
+            f"not {type(value).__name__}"
+        )
+    return value
+
+
+def _formula(data: Any, key: str, context: str) -> Formula:
+    return parse(_field(data, key, context))
+
+
+def _list(data: Dict[str, Any], key: str, context: str) -> list:
+    """An optional list field; absent reads as empty."""
+    return _field(data, key, context, list) if key in data else []
+
+
+def _write_atomically(path: Union[str, Path], text: str) -> None:
+    """Replace *path* with *text* so a crash leaves the old file or the new
+    one, never a torn write: write a temp file in the same directory, fsync
+    it, then ``os.replace`` it over the target."""
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 # -- dependencies ----------------------------------------------------------------
@@ -83,25 +138,35 @@ def dependency_to_dict(dependency: TemplateDependency) -> Dict[str, Any]:
 
 
 def dependency_from_dict(data: Dict[str, Any]) -> TemplateDependency:
-    kind = data.get("kind")
+    kind = data.get("kind") if isinstance(data, dict) else None
+    context = f"{kind} dependency"
+
+    def predicate(name: str, arity: str) -> Predicate:
+        return Predicate(
+            _field(data, name, context), _field(data, arity, context, int)
+        )
+
+    def columns(key: str) -> list:
+        return _field(data, key, context, list)
+
     if kind == "fd":
         return FunctionalDependency(
-            Predicate(data["relation"], data["arity"]),
-            data["determinant"],
-            data["dependent"],
+            predicate("relation", "arity"),
+            columns("determinant"),
+            columns("dependent"),
         )
     if kind == "inclusion":
         return InclusionDependency(
-            Predicate(data["child"], data["child_arity"]),
-            data["child_columns"],
-            Predicate(data["parent"], data["parent_arity"]),
-            data["parent_columns"],
+            predicate("child", "child_arity"),
+            columns("child_columns"),
+            predicate("parent", "parent_arity"),
+            columns("parent_columns"),
         )
     if kind == "mvd":
         return MultivaluedDependency(
-            Predicate(data["relation"], data["arity"]),
-            data["determinant"],
-            data["dependent"],
+            predicate("relation", "arity"),
+            columns("determinant"),
+            columns("dependent"),
         )
     raise PersistenceError(f"unknown dependency kind {kind!r}")
 
@@ -127,22 +192,30 @@ def theory_to_dict(theory: ExtendedRelationalTheory) -> Dict[str, Any]:
 
 
 def theory_from_dict(data: Dict[str, Any]) -> ExtendedRelationalTheory:
-    if data.get("format") != THEORY_FORMAT:
+    if not isinstance(data, dict) or data.get("format") != THEORY_FORMAT:
+        found = data.get("format") if isinstance(data, dict) else data
         raise PersistenceError(
-            f"not a {THEORY_FORMAT} document (format={data.get('format')!r})"
+            f"not a {THEORY_FORMAT} document (format={found!r})"
         )
     schema: Optional[DatabaseSchema] = None
     if data.get("schema"):
         schema = schema_from_dict(data["schema"])
-    dependencies = [dependency_from_dict(d) for d in data.get("dependencies", [])]
+    dependencies = [
+        dependency_from_dict(d) for d in _list(data, "dependencies", "theory")
+    ]
     theory = ExtendedRelationalTheory(schema=schema, dependencies=dependencies)
-    for text in data.get("formulas", []):
+    for index, text in enumerate(_list(data, "formulas", "theory")):
+        if not isinstance(text, str):
+            raise PersistenceError(
+                f"theory field 'formulas' entry {index} must be formula "
+                f"text, not {type(text).__name__}"
+            )
         theory.add_formula(parse(text))
     return theory
 
 
 def save_theory(theory: ExtendedRelationalTheory, path: Union[str, Path]) -> None:
-    Path(path).write_text(json.dumps(theory_to_dict(theory), indent=2))
+    _write_atomically(path, json.dumps(theory_to_dict(theory), indent=2))
 
 
 def load_theory(path: Union[str, Path]) -> ExtendedRelationalTheory:
@@ -157,8 +230,6 @@ def load_theory(path: Union[str, Path]) -> ExtendedRelationalTheory:
 
 
 def update_to_dict(update) -> Dict[str, Any]:
-    from repro.ldml.simultaneous import SimultaneousInsert
-
     if isinstance(update, SimultaneousInsert):
         return {
             "op": "simultaneous",
@@ -182,26 +253,38 @@ def update_to_dict(update) -> Dict[str, Any]:
 
 
 def update_from_dict(data: Dict[str, Any]):
-    op = data.get("op")
+    """The update object a journal entry stores; the ``"op"`` alone decides
+    its type (a ``"kind"`` key, written by older versions, is ignored)."""
+    op = data.get("op") if isinstance(data, dict) else None
+    context = f"{op} update"
     if op == "simultaneous":
-        from repro.ldml.simultaneous import SimultaneousInsert
-
+        pairs = _field(data, "pairs", context, list)
         return SimultaneousInsert(
             [
-                (parse(pair["where"]), parse(pair["body"]))
-                for pair in data["pairs"]
+                (
+                    _formula(pair, "where", f"{context} pair {index}"),
+                    _formula(pair, "body", f"{context} pair {index}"),
+                )
+                for index, pair in enumerate(pairs)
             ]
         )
     if op == "insert":
-        return Insert(parse(data["body"]), parse(data["where"]))
+        return Insert(
+            _formula(data, "body", context), _formula(data, "where", context)
+        )
     if op == "delete":
-        return Delete(parse_atom(data["target"]), parse(data["where"]))
+        return Delete(
+            parse_atom(_field(data, "target", context)),
+            _formula(data, "where", context),
+        )
     if op == "modify":
         return Modify(
-            parse_atom(data["target"]), parse(data["body"]), parse(data["where"])
+            parse_atom(_field(data, "target", context)),
+            _formula(data, "body", context),
+            _formula(data, "where", context),
         )
     if op == "assert":
-        return Assert_(parse(data["condition"]))
+        return Assert_(_formula(data, "condition", context))
     raise PersistenceError(f"unknown update op {op!r}")
 
 
@@ -229,8 +312,7 @@ def database_to_dict(db) -> Dict[str, Any]:
         "theory": live_theory,
         "base": theory_to_dict(db.transactions.base_theory),
         "journal": [
-            {"kind": entry.kind, **update_to_dict(entry.update)}
-            for entry in db.transactions.log.entries()
+            update_to_dict(update) for update in db.transactions.log.updates()
         ],
         "auto_tag": db.auto_tag,
     }
@@ -238,8 +320,6 @@ def database_to_dict(db) -> Dict[str, Any]:
 
 def database_from_dict(data: Dict[str, Any]):
     from repro.core.engine import Database
-    from repro.core.transaction import KIND_GROUND, KIND_SIMULTANEOUS
-    from repro.core.pipeline import NormalizedUpdate
 
     if data.get("format") != DATABASE_FORMAT:
         raise PersistenceError(
@@ -262,32 +342,16 @@ def database_from_dict(data: Dict[str, Any]):
         auto_tag=data.get("auto_tag", True),
         backend=backend,
     )
-    replay_into_backend = live is None or backend not in ("gua",)
-    for entry in data.get("journal", []):
-        # Older files have no "kind"; record() then derives it structurally.
+    replay_into_backend = live is None or backend != "gua"
+    for entry in _list(data, "journal", "database"):
         update = update_from_dict(entry)
-        kind = entry.get("kind")
         if replay_into_backend:
             # Backends whose live state cannot be overwritten wholesale
             # (log: base + pending log; naive: explicit worlds) rebuild it
             # by re-executing the journal.  Entries are already normalized
             # and attribute-tagged, so execution must not re-tag.
-            from repro.ldml.simultaneous import SimultaneousInsert
-
-            is_simultaneous = (
-                kind == KIND_SIMULTANEOUS
-                if kind is not None
-                else isinstance(update, SimultaneousInsert)
-            )
-            db.backend.execute(
-                NormalizedUpdate(
-                    kind=KIND_SIMULTANEOUS if is_simultaneous else KIND_GROUND,
-                    original=update,
-                    ground=None if is_simultaneous else update,
-                    simultaneous=update if is_simultaneous else None,
-                )
-            )
-        db.transactions.log.record(update, db.backend.size(), kind=kind)
+            db.backend.execute(update)
+        db.transactions.log.record(update, db.backend.size())
     if live is not None and not replay_into_backend:
         # The gua backend restores its exact saved syntactic state directly
         # (cheaper than replaying, and preserves predicate-constant names).
@@ -296,7 +360,7 @@ def database_from_dict(data: Dict[str, Any]):
 
 
 def save_database(db, path: Union[str, Path]) -> None:
-    Path(path).write_text(json.dumps(database_to_dict(db), indent=2))
+    _write_atomically(path, json.dumps(database_to_dict(db), indent=2))
 
 
 def load_database(path: Union[str, Path]):

@@ -15,7 +15,7 @@ checks the Section 3.1 metamorphic laws: rewriting ground DELETE / MODIFY /
 ASSERT to their INSERT reductions must not change the outcome; an update
 sequence followed by a rollback to a savepoint is the identity; and a
 persistence round-trip (``database_to_dict`` → ``database_from_dict``)
-preserves the worlds, the backend, and the journal's ``kind`` tags.
+preserves the worlds, the backend, and the journaled update objects.
 
 World enumeration is capped (``world_cap``): a case whose world set
 outgrows the cap has the affected comparisons *skipped* (counted in
@@ -360,7 +360,8 @@ def _check_rollback(
 
 
 def _check_persist(dbs: Dict[str, Any], world_cap: int, report: CaseReport) -> None:
-    """A save/load round-trip preserves worlds, backend, and journal kinds."""
+    """A save/load round-trip preserves worlds, backend, and the journal's
+    update objects."""
     from repro.persist import database_from_dict, database_to_dict
 
     for name, db in dbs.items():
@@ -380,16 +381,16 @@ def _check_persist(dbs: Dict[str, Any], world_cap: int, report: CaseReport) -> N
                 )
             )
             return
-        original_kinds = [e.kind for e in db.transactions.log.entries()]
-        clone_kinds = [e.kind for e in clone.transactions.log.entries()]
-        if original_kinds != clone_kinds:
+        original_updates = db.transactions.log.updates()
+        clone_updates = clone.transactions.log.updates()
+        if original_updates != clone_updates:
             report.discrepancies.append(
                 Discrepancy(
                     check="persist",
-                    message=f"round-trip changed journal kinds on {name}",
+                    message=f"round-trip changed the journal on {name}",
                     details={
-                        "original": original_kinds,
-                        "clone": clone_kinds,
+                        "original": [str(u) for u in original_updates],
+                        "clone": [str(u) for u in clone_updates],
                     },
                 )
             )

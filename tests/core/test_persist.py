@@ -1,6 +1,7 @@
 """Unit tests for JSON persistence."""
 
 import json
+import os
 
 import pytest
 
@@ -213,14 +214,16 @@ class TestSimultaneousJournal:
         assert len(loaded.transactions.log) == 2
 
     def test_journal_kind_persisted(self, tmp_path):
+        """The kind survives a round trip as the stored op, not a copy."""
         db = Database()
         db.update("INSERT Emp(alice,sales) WHERE T")
         db.update("INSERT Moved(?x) WHERE Emp(?x, sales)")
         document = database_to_dict(db)
-        assert [entry["kind"] for entry in document["journal"]] == [
-            "ground",
+        assert [entry["op"] for entry in document["journal"]] == [
+            "insert",
             "simultaneous",
         ]
+        assert not any("kind" in entry for entry in document["journal"])
         loaded = database_from_dict(document)
         assert [e.kind for e in loaded.transactions.log.entries()] == [
             "ground",
@@ -228,13 +231,13 @@ class TestSimultaneousJournal:
         ]
 
     def test_journal_without_kind_still_loads(self):
-        """Files written before the kind field derive it structurally."""
+        """Journal entries carry no kind; the loader derives it from the
+        stored update object."""
         db = Database()
         db.update("INSERT Emp(alice,sales) WHERE T")
         db.update("INSERT Moved(?x) WHERE Emp(?x, sales)")
-        document = database_to_dict(db)
-        for entry in document["journal"]:
-            del entry["kind"]
+        document = json.loads(json.dumps(database_to_dict(db)))
+        assert not any("kind" in entry for entry in document["journal"])
         loaded = database_from_dict(document)
         assert [e.kind for e in loaded.transactions.log.entries()] == [
             "ground",
@@ -345,3 +348,176 @@ class TestBackendRoundTrip:
         assert document["theory"] is None
         assert document["backend"] == "naive"
         assert document["base"]["formulas"] == ["Emp(bob,hr)"]
+
+
+def _ground_and_simultaneous(backend):
+    db = Database(facts=["Emp(bob,hr)"], backend=backend)
+    db.update("INSERT Emp(alice,sales) | Emp(alice,hr) WHERE T")
+    db.update("INSERT Moved(?x) WHERE Emp(?x, sales)")
+    db.update("DELETE Emp(bob,hr) WHERE Moved(alice)")
+    return db
+
+
+class TestJournalKindFromOp:
+    """The journal kind is derived from the stored op; a ``"kind"`` key (as
+    older versions wrote) is ignored, so it can never contradict the op."""
+
+    @pytest.mark.parametrize("backend", ["gua", "log", "naive"])
+    def test_contradicting_kind_is_ignored(self, backend):
+        db = _ground_and_simultaneous(backend)
+        document = database_to_dict(db)
+        for entry in document["journal"]:
+            entry["kind"] = (
+                "ground" if entry["op"] == "simultaneous" else "simultaneous"
+            )
+        loaded = database_from_dict(document)
+        assert [e.kind for e in loaded.transactions.log.entries()] == [
+            "ground",
+            "simultaneous",
+            "ground",
+        ]
+        assert loaded.world_set() == db.world_set()
+        assert loaded.transactions.replay().world_set() == db.world_set()
+        loaded.pipeline.last_result = None
+        report = loaded.explain_update()
+        assert "update #2 (ground)" in report
+        assert "reconstructed" in report
+
+    @pytest.mark.parametrize("backend", ["gua", "log", "naive"])
+    def test_document_with_kind_keys_loads(self, backend):
+        db = _ground_and_simultaneous(backend)
+        document = database_to_dict(db)
+        for entry, logged in zip(
+            document["journal"], db.transactions.log.entries()
+        ):
+            entry["kind"] = logged.kind
+        loaded = database_from_dict(document)
+        assert loaded.world_set() == db.world_set()
+        assert [e.kind for e in loaded.transactions.log.entries()] == [
+            e.kind for e in db.transactions.log.entries()
+        ]
+
+
+#: One well-formed journal entry per op, and the keys each one requires.
+ENTRIES = {
+    "insert": {"op": "insert", "body": "P(a)", "where": "T"},
+    "delete": {"op": "delete", "target": "P(a)", "where": "T"},
+    "modify": {"op": "modify", "target": "P(a)", "body": "P(b)", "where": "T"},
+    "assert": {"op": "assert", "condition": "P(a)"},
+    "simultaneous": {
+        "op": "simultaneous",
+        "pairs": [{"where": "T", "body": "P(a)"}],
+    },
+}
+REQUIRED = [
+    (op, key) for op, entry in ENTRIES.items() for key in entry if key != "op"
+]
+
+
+class TestMalformedDocuments:
+    """Bad saved documents fail with a PersistenceError naming the field."""
+
+    @pytest.mark.parametrize("op,key", REQUIRED)
+    def test_missing_update_field(self, op, key):
+        entry = dict(ENTRIES[op])
+        del entry[key]
+        with pytest.raises(PersistenceError, match=repr(key)):
+            update_from_dict(entry)
+
+    @pytest.mark.parametrize("op,key", REQUIRED)
+    def test_ill_typed_update_field(self, op, key):
+        entry = dict(ENTRIES[op], **{key: 7})
+        with pytest.raises(PersistenceError, match=f"{key!r}.*int"):
+            update_from_dict(entry)
+
+    @pytest.mark.parametrize("key", ["where", "body"])
+    def test_missing_pair_field(self, key):
+        pair = {"where": "T", "body": "P(a)"}
+        del pair[key]
+        with pytest.raises(PersistenceError, match=f"pair 0.*{key!r}"):
+            update_from_dict({"op": "simultaneous", "pairs": [pair]})
+
+    def test_non_string_formula(self):
+        document = theory_to_dict(ExtendedRelationalTheory(formulas=["P(a)"]))
+        document["formulas"].append(3)
+        with pytest.raises(PersistenceError, match="'formulas' entry 1.*int"):
+            theory_from_dict(document)
+
+    def test_missing_dependency_field(self):
+        fd = dependency_to_dict(FunctionalDependency(Predicate("E", 2), [0], [1]))
+        del fd["arity"]
+        with pytest.raises(PersistenceError, match="'arity'"):
+            dependency_from_dict(fd)
+
+    @pytest.mark.parametrize("backend", ["gua", "log", "naive"])
+    def test_journal_entry_without_body(self, backend):
+        db = Database(backend=backend)
+        db.update("INSERT P(a) WHERE T")
+        document = database_to_dict(db)
+        del document["journal"][0]["body"]
+        with pytest.raises(PersistenceError, match="'body'"):
+            database_from_dict(document)
+
+
+class TestCrashSafeSaves:
+    """A save that fails partway leaves the previous file intact."""
+
+    def _fail_partway(self, monkeypatch):
+        real_write = os.write
+        calls = []
+
+        def torn_write(fd, data):
+            calls.append(len(data))
+            if len(calls) > 1:
+                raise OSError("disk full")
+            return real_write(fd, bytes(data[: len(data) // 2]))
+
+        monkeypatch.setattr(os, "write", torn_write)
+        return calls
+
+    @pytest.mark.parametrize(
+        "save,build",
+        [
+            (save_database, lambda: Database(facts=["P(a) | P(b)"])),
+            (save_theory, lambda: ExtendedRelationalTheory(formulas=["P(a)"])),
+        ],
+        ids=["database", "theory"],
+    )
+    def test_failed_write_keeps_previous_file(
+        self, save, build, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "state.json"
+        save(build(), path)
+        before = path.read_bytes()
+        changed = build()
+        if isinstance(changed, Database):
+            changed.update("INSERT Q(c) WHERE T")
+        else:
+            changed.add_formula(parse("Q(c)"))
+        calls = self._fail_partway(monkeypatch)
+        with pytest.raises(OSError, match="disk full"):
+            save(changed, path)
+        assert len(calls) == 2  # the write really was cut short
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
+
+    def test_failed_replace_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "db.json"
+        save_database(Database(facts=["P(a)"]), path)
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            save_database(Database(facts=["P(b)"]), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["db.json"]
+
+    def test_save_replaces_contents(self, tmp_path):
+        path = tmp_path / "db.json"
+        save_database(Database(facts=["P(a)"]), path)
+        save_database(Database(facts=["P(b)"]), path)
+        assert load_database(path).is_certain("P(b)")
+        assert [p.name for p in tmp_path.iterdir()] == ["db.json"]

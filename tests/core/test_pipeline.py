@@ -6,13 +6,11 @@ from repro.core.engine import Database
 from repro.core.pipeline import (
     STAGES,
     TRACE_HISTORY,
-    NormalizedUpdate,
     PipelineTracer,
     UpdateTrace,
 )
 from repro.core.transaction import KIND_GROUND, KIND_SIMULTANEOUS
 from repro.errors import ParseError
-from repro.ldml.parser import parse_update
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -132,12 +130,3 @@ class TestJournalStage:
         replayed = db.transactions.replay()
         assert replayed.world_set() == db.theory.world_set()
 
-
-class TestNormalizedUpdate:
-    def test_ground_form(self):
-        update = parse_update("INSERT P(a) WHERE T")
-        normalized = NormalizedUpdate(
-            kind=KIND_GROUND, original=update, ground=update
-        )
-        assert normalized.executable is update
-        assert normalized.atoms() == update.atoms()

@@ -1,5 +1,7 @@
 """Unit tests for update logs, savepoints, and replay."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.engine import Database
@@ -49,12 +51,15 @@ class TestUpdateLog:
         assert sim.kind == KIND_SIMULTANEOUS
         assert kind_of(sim.update) == KIND_SIMULTANEOUS
 
-    def test_kind_override(self):
-        log = UpdateLog()
-        entry = log.record(
-            SimultaneousInsert([("T", "P(a)")]), 1, kind=KIND_SIMULTANEOUS
-        )
-        assert entry.kind == KIND_SIMULTANEOUS
+    def test_entry_stores_only_the_update(self):
+        entry = UpdateLog().record(parse_update("INSERT P(a)"), 1)
+        assert [f.name for f in dataclasses.fields(entry)] == [
+            "sequence",
+            "update",
+            "theory_size_after",
+        ]
+        # The kind is a view of the stored object, so it cannot disagree.
+        assert entry.kind == kind_of(entry.update)
 
 
 class TestReplay:
