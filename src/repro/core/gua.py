@@ -6,26 +6,35 @@ relational theory T, GUA rewrites T *syntactically* so that the alternative
 worlds of the result are exactly those obtained by updating every
 alternative world of T individually (Theorems 1 and 5).
 
+Section 4 reduces an update with variables to "a set of ground updates
+performed simultaneously", and GUA generalizes to that set.  The steps
+below therefore run once, over ``(phi_i, w_i)`` pairs: a ground INSERT is
+the one-pair set ``{(phi, w)}``, a
+:class:`~repro.ldml.simultaneous.SimultaneousInsert` carries its own pairs.
 The seven steps:
 
-1.  **Add to completion axioms** — for each ground atom of ``w`` or ``phi``
-    not in T, add the wff ``!f`` (the completion axioms being derived, the
-    disjunct appears automatically; Lemma 1 guarantees the models are
-    unchanged).
+1.  **Add to completion axioms** — for each ground atom of any ``w_i`` or
+    ``phi_i`` not in T, add the wff ``!f`` (the completion axioms being
+    derived, the disjunct appears automatically; Lemma 1 guarantees the
+    models are unchanged).
 2'. **Attribute completion** (schema only) — same treatment for the
-    attribute atoms ``A_i(c_i)`` induced by relation atoms of ``w``.
-2.  **Rename** — for each distinct ground atom ``f`` of ``w``, mint a fresh
-    predicate constant ``p_f`` and redirect every stored occurrence of
-    ``f`` to it, in place, through the Section 3.6 index.
-3.  **Define the update** — add ``(phi)σ -> w``.
-4.  **Restrict the update** — add ``!(phi)σ -> (f <-> p_f)`` for each
-    ``f`` in ``w`` (all conjuncts folded into one implication, the
-    Section 3.6 optimization).
+    attribute atoms ``A_i(c_i)`` induced by the written relation atoms.
+2.  **Rename** — for each distinct ground atom ``f`` written by some
+    ``w_i``, mint a fresh predicate constant ``p_f`` and redirect every
+    stored occurrence of ``f`` to it, in place, through the Section 3.6
+    index.
+3.  **Define the update** — add ``(phi_i)σ -> w_i`` for each pair.
+4.  **Restrict the update** — group the written atoms by the pairs that
+    write them and add ``conj(!(phi_i)σ) -> conj(f <-> p_f)`` per group:
+    f keeps its old value exactly when no clause that writes it fired.
+    With one pair this is the single implication of the Section 3.6
+    optimization.
 5.  **Instantiate type axioms** — for relation/attribute atoms touched by
-    ``w`` whose attribute obligations are not guaranteed by ``w``.
+    the update whose attribute obligations are not guaranteed by every
+    body that writes them.
 6.  **Instantiate dependency axioms** — ground every dependency over
     bindings whose body atoms all lie in the theory's atom universe and
-    that involve at least one updated atom.
+    that involve at least one written atom.
 7.  **Close the completion axioms** — ``!f`` for atoms first introduced by
     Steps 5/6, plus attribute completion for their constants.
 
@@ -48,11 +57,12 @@ starting points — exactly the paper's contract.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Sequence, Set, Tuple, Union
 
 from repro.errors import UpdateError
 from repro.ldml.ast import GroundUpdate, Insert
 from repro.ldml.parser import parse_update
+from repro.ldml.simultaneous import SimultaneousInsert
 from repro.logic.entailment import entails
 from repro.logic.substitution import GroundSubstitution
 from repro.logic.syntax import (
@@ -74,6 +84,9 @@ from repro.theory.theory import ExtendedRelationalTheory
 #: w"); "full" runs a complete entailment check.
 EntailmentMode = str
 
+#: The ``(phi_i, w_i)`` pairs GUA runs over; a ground INSERT is one pair.
+Pairs = Tuple[Tuple[Formula, Formula], ...]
+
 
 @dataclass
 class GuaStats:
@@ -94,14 +107,20 @@ class GuaStats:
 class GuaResult:
     """Outcome of one GUA execution.
 
-    ``step_additions`` maps a GUA step key (``"step1"``, ``"step2'"``, ...,
-    ``"step7"``) to the wffs that step added, in order — the raw material
-    of the :func:`repro.obs.explain.explain_update` narrative.
+    ``update`` is the object that ran: the ground update reduced to its
+    :class:`~repro.ldml.ast.Insert`, or the
+    :class:`~repro.ldml.simultaneous.SimultaneousInsert`.  ``writers``
+    maps each written atom, in sorted order, to the indices of the pairs
+    whose body writes it (Steps 2-6 read it).  ``step_additions`` maps a
+    GUA step key (``"step1"``, ``"step2'"``, ..., ``"step7"``) to the wffs
+    that step added, in order — the raw material of the
+    :func:`repro.obs.explain.explain_update` narrative.
     """
 
-    update: Insert
+    update: Union[Insert, SimultaneousInsert]
     substitution: GroundSubstitution
     fresh_constants: Dict[GroundAtom, PredicateConstant]
+    writers: Dict[GroundAtom, Tuple[int, ...]] = field(default_factory=dict)
     added_formulas: List[Formula] = field(default_factory=list)
     stats: GuaStats = field(default_factory=GuaStats)
     step_additions: Dict[str, List[Formula]] = field(default_factory=dict)
@@ -113,9 +132,10 @@ class GuaExecutor:
     Parameters:
         entailment_mode: "conjunct" (paper's optimized Step 5 test) or
             "full" (complete entailment; more instances suppressed, costlier).
-        combine_restrict: emit Step 4 as a single implication over the
-            conjunction of all biconditionals (the Section 3.6 form) rather
-            than one wff per updated atom.
+        combine_restrict: emit Step 4 as one implication per group of atoms
+            written by the same pairs, over the conjunction of their
+            biconditionals (the Section 3.6 form), rather than one wff per
+            written atom.
         incremental_dependencies: Step 6 only grounds bindings touching the
             updated atoms (the per-update incremental form).  Turning this
             off grounds every binding — used by the E6 worst-case bench.
@@ -145,52 +165,65 @@ class GuaExecutor:
 
     # -- public API -------------------------------------------------------------
 
-    def apply(self, update: Union[GroundUpdate, str]) -> GuaResult:
-        """Perform one ground update, mutating the theory in place.
+    def apply(
+        self, update: Union[GroundUpdate, SimultaneousInsert, str]
+    ) -> GuaResult:
+        """Perform one update, mutating the theory in place.
 
-        Accepts a :class:`~repro.ldml.simultaneous.SimultaneousInsert` too,
-        dispatching to :meth:`apply_simultaneous`: this is the one place
-        live execution, replay and ``explain_update`` choose between the
-        ground and the simultaneous path.
+        A ground update (or LDML text) runs as the one-pair set
+        ``((where, body),)`` of its INSERT reduction; a
+        :class:`~repro.ldml.simultaneous.SimultaneousInsert` runs its own
+        pairs.  Live execution, replay and ``explain_update`` all come
+        through here.
         """
-        from repro.ldml.simultaneous import SimultaneousInsert
-
-        if isinstance(update, SimultaneousInsert):
-            return self.apply_simultaneous(update)
         if isinstance(update, str):
             update = parse_update(update)
-        insert = update.to_insert()
-        if insert.body.predicate_constants() or insert.where.predicate_constants():
-            raise UpdateError(
-                "ground updates may not mention predicate constants"
-            )
-        stats = GuaStats()
-        stats.g = self._count_atom_instances(insert)
+        if isinstance(update, SimultaneousInsert):
+            executed = update
+            pairs: Pairs = update.pairs
+            if len(pairs) > 1 and self.restriction_policy != "winslett":
+                raise UpdateError(
+                    "simultaneous updates are defined for the paper's "
+                    "(winslett) semantics only, not "
+                    f"{self.restriction_policy!r}"
+                )
+        else:
+            executed = update.to_insert()
+            pairs = ((executed.where, executed.body),)
+
+        writers: Dict[GroundAtom, List[int]] = {}
+        for index, (_, body) in enumerate(pairs):
+            for atom in body.ground_atoms():
+                writers.setdefault(atom, []).append(index)
+        stats = GuaStats(
+            g=sum(_count_atom_instances(f) for pair in pairs for f in pair)
+        )
         result = GuaResult(
-            update=insert,
+            update=executed,
             substitution=GroundSubstitution({}),
             fresh_constants={},
+            writers={atom: tuple(writers[atom]) for atom in sorted(writers)},
             stats=stats,
         )
 
-        with span("gua.apply", g=stats.g) as sp:
+        with span("gua.apply", pairs=len(pairs), g=stats.g) as sp:
             with span("gua.step1_extend_completions"):
-                self._step1_completion(insert, result)
+                self._step1_completion(pairs, result)
             with span("gua.step2p_attribute_completion"):
-                self._step2_prime_attribute_completion(insert, result)
+                self._step2_prime_attribute_completion(result)
             with span("gua.step2_rename") as s2:
-                sigma = self._step2_rename(insert, result)
+                sigma = self._step2_rename(result)
                 if s2:
                     s2.attrs["renamed_atoms"] = stats.renamed_atoms
                     s2.attrs["occurrences"] = stats.renamed_occurrences
             with span("gua.step3_define"):
-                self._step3_define(insert, sigma, result)
+                self._step3_define(pairs, sigma, result)
             with span("gua.step4_restrict"):
-                self._step4_restrict(insert, sigma, result)
+                self._step4_restrict(pairs, sigma, result)
             with span("gua.step5_type_axioms"):
-                new_axiom_atoms = self._step5_type_axioms(insert, result)
+                new_axiom_atoms = self._step5_type_axioms(pairs, result)
             with span("gua.step6_dependencies") as s6:
-                new_axiom_atoms |= self._step6_dependencies(insert, result)
+                new_axiom_atoms |= self._step6_dependencies(result)
                 if s6:
                     s6.attrs["bindings"] = stats.dependency_bindings_examined
             with span("gua.step7_close_completions"):
@@ -199,200 +232,18 @@ class GuaExecutor:
                 sp.attrs["wffs_added"] = stats.wffs_added
         return result
 
-    def apply_simultaneous(self, update) -> GuaResult:
-        """Perform a set of ground updates *simultaneously* (Section 4).
-
-        The generalization of Steps 1-7 to pairs ``(phi_i, w_i)``:
-
-        * Step 1/2' extend the completion axioms for every atom of any pair;
-        * Step 2 renames the union of the bodies' atoms through one sigma;
-        * Step 3 adds ``(phi_i)σ -> w_i`` for each pair;
-        * Step 4 guards each renamed atom f with the *conjunction* of
-          ``!(phi_i)σ`` over the pairs whose body mentions f — f keeps its
-          old value exactly when no clause that writes it fired;
-        * Steps 5-7 run with the union of written atoms as the touched set.
-
-        A singleton set degenerates to :meth:`apply` exactly.
-        """
-        from repro.ldml.simultaneous import SimultaneousInsert
-
-        if self.restriction_policy != "winslett":
-            raise UpdateError(
-                "simultaneous updates are defined for the paper's (winslett) "
-                f"semantics only, not {self.restriction_policy!r}"
-            )
-        if not isinstance(update, SimultaneousInsert):
-            update = SimultaneousInsert(update)
-        single = update.as_single_insert()
-        if single is not None:
-            return self.apply(single)
-
-        pairs = update.pairs
-        stats = GuaStats()
-        stats.g = sum(
-            self._count_atom_instances(Insert(body, where))
-            for where, body in pairs
-        )
-        result = GuaResult(
-            update=Insert(conjoin([body for _, body in pairs])),
-            substitution=GroundSubstitution({}),
-            fresh_constants={},
-            stats=stats,
-        )
-
-        with span("gua.apply_simultaneous", pairs=len(pairs), g=stats.g):
-            # Steps 1 and 2': completion axioms for every mentioned atom.
-            store = self.theory.store
-            with span("gua.step1_extend_completions"):
-                mentioned: Set[GroundAtom] = set()
-                for where, body in pairs:
-                    mentioned |= body.ground_atoms() | where.ground_atoms()
-                for atom in sorted(mentioned):
-                    if not store.contains_atom(atom):
-                        self._add(Not(Atom(atom)), result, "step1")
-                        result.stats.completion_additions += 1
-            schema = self.theory.schema
-            with span("gua.step2p_attribute_completion"):
-                if schema is not None:
-                    for _, body in pairs:
-                        for atom in sorted(body.ground_atoms()):
-                            for obligation in schema.type_obligations(atom):
-                                if not store.contains_atom(obligation):
-                                    self._add(
-                                        Not(Atom(obligation)), result, "step2'"
-                                    )
-                                    result.stats.completion_additions += 1
-
-            # Step 2: one sigma over the union of written atoms.
-            with span("gua.step2_rename") as s2:
-                written: Set[GroundAtom] = set()
-                for _, body in pairs:
-                    written |= body.ground_atoms()
-                mapping: Dict[GroundAtom, PredicateConstant] = {}
-                for atom in sorted(written):
-                    fresh = self.theory.fresh_predicate_constant()
-                    mapping[atom] = fresh
-                    redirected = store.rename(atom, fresh)
-                    # Same invalidation as the ground path: renamed-away
-                    # atoms void their registered Step 5/6 instances.
-                    self.theory.invalidate_axiom_instances(atom)
-                    result.stats.renamed_atoms += 1
-                    result.stats.renamed_occurrences += redirected
-                sigma = GroundSubstitution(mapping)
-                result.substitution = sigma
-                result.fresh_constants = mapping
-                if s2:
-                    s2.attrs["renamed_atoms"] = result.stats.renamed_atoms
-                    s2.attrs["occurrences"] = result.stats.renamed_occurrences
-
-            # Step 3: one definition wff per pair.
-            with span("gua.step3_define"):
-                for where, body in pairs:
-                    self._add(
-                        Implies(sigma.apply(where), body), result, "step3"
-                    )
-
-            # Step 4: per-atom guard over the clauses that write it.
-            with span("gua.step4_restrict"):
-                for atom in sorted(written):
-                    guards = [
-                        Not(sigma.apply(where))
-                        for where, body in pairs
-                        if atom in body.ground_atoms()
-                    ]
-                    self._add(
-                        Implies(
-                            conjoin(guards),
-                            Iff(Atom(atom), Atom(mapping[atom])),
-                        ),
-                        result,
-                        "step4",
-                    )
-
-            # Steps 5-7 on the union footprint.  Step 5 must judge guarantees
-            # per writing pair: an obligation counts as guaranteed only when
-            # *every* body that writes the atom guarantees it — whichever
-            # clause fired, the produced models then satisfy the type axiom.
-            with span("gua.step5_type_axioms"):
-                new_axiom_atoms = self._step5_type_axioms_multi(pairs, result)
-            with span("gua.step6_dependencies"):
-                joint = Insert(conjoin([body for _, body in pairs]))
-                new_axiom_atoms |= self._step6_dependencies(joint, result)
-            with span("gua.step7_close_completions"):
-                self._step7_close_completion(new_axiom_atoms, result)
-        return result
-
-    def _step5_type_axioms_multi(self, pairs, result: GuaResult) -> Set[GroundAtom]:
-        schema = self.theory.schema
-        if schema is None:
-            return set()
-        bodies_writing: Dict[GroundAtom, List[Formula]] = {}
-        for _, body in pairs:
-            for atom in body.ground_atoms():
-                bodies_writing.setdefault(atom, []).append(body)
-
-        def guaranteed(atom: GroundAtom) -> bool:
-            return all(
-                self._body_guarantees(body, atom)
-                for body in bodies_writing[atom]
-            )
-
-        universe = self.theory.atom_universe()
-        instances: List[Tuple[GroundAtom, Tuple[GroundAtom, ...]]] = []
-        for atom in sorted(bodies_writing):
-            obligations = schema.type_obligations(atom)
-            if not obligations:
-                continue
-            # Condition (1): skip only when every body writing the relation
-            # atom guarantees every obligation (liberal instantiation is
-            # always sound; skipping requires the guarantee from whichever
-            # clause fired).
-            if all(
-                all(self._body_guarantees(body, ob) for ob in obligations)
-                for body in bodies_writing[atom]
-            ):
-                continue
-            instances.append((atom, obligations))
-
-        touched_attributes = {
-            atom
-            for atom in bodies_writing
-            if schema.is_attribute(atom.predicate) and not guaranteed(atom)
-        }
-        if touched_attributes:
-            for atom in sorted(universe):
-                obligations = schema.type_obligations(atom)
-                if obligations and set(obligations) & touched_attributes:
-                    instances.append((atom, obligations))
-
-        new_atoms: Set[GroundAtom] = set()
-        store = self.theory.store
-        for relation_atom, obligations in instances:
-            instance = Implies(
-                Atom(relation_atom),
-                conjoin([Atom(ob) for ob in obligations]),
-            )
-            if self._register_axiom_instance(instance):
-                fresh = [
-                    candidate
-                    for candidate in (relation_atom, *obligations)
-                    if not store.contains_atom(candidate)
-                ]
-                self._add(instance, result, "step5")
-                result.stats.type_instances += 1
-                new_atoms.update(fresh)
-        return new_atoms
+    def apply_simultaneous(
+        self, pairs: Union[SimultaneousInsert, Iterable]
+    ) -> GuaResult:
+        """Perform a set of ground updates simultaneously (Section 4):
+        *pairs* (``(where, body)`` pairs or ground updates) wrapped in a
+        :class:`~repro.ldml.simultaneous.SimultaneousInsert` and run by
+        :meth:`apply`."""
+        if not isinstance(pairs, SimultaneousInsert):
+            pairs = SimultaneousInsert(pairs)
+        return self.apply(pairs)
 
     # -- steps ---------------------------------------------------------------------
-
-    def _count_atom_instances(self, insert: Insert) -> int:
-        """The paper's g: instances of ground atomic formulas in the update."""
-        count = 0
-        for formula in (insert.body, insert.where):
-            for node in formula.walk():
-                if isinstance(node, Atom) and isinstance(node.atom, GroundAtom):
-                    count += 1
-        return count
 
     def _add(self, formula: Formula, result: GuaResult, step: str) -> None:
         stored = self.theory.add_formula(formula)
@@ -401,32 +252,30 @@ class GuaExecutor:
         result.stats.wffs_added += 1
         result.stats.nodes_added += stored.size()
 
-    def _step1_completion(self, insert: Insert, result: GuaResult) -> None:
+    def _complete(self, atoms, result: GuaResult, step: str) -> None:
+        """Add ``!f`` for each atom of *atoms* the theory does not mention."""
         store = self.theory.store
-        mentioned = sorted(
-            insert.body.ground_atoms() | insert.where.ground_atoms()
-        )
-        for atom in mentioned:
+        for atom in atoms:
             if not store.contains_atom(atom):
-                self._add(Not(Atom(atom)), result, "step1")
+                self._add(Not(Atom(atom)), result, step)
                 result.stats.completion_additions += 1
 
-    def _step2_prime_attribute_completion(
-        self, insert: Insert, result: GuaResult
-    ) -> None:
+    def _step1_completion(self, pairs: Pairs, result: GuaResult) -> None:
+        mentioned: Set[GroundAtom] = set()
+        for where, body in pairs:
+            mentioned |= body.ground_atoms() | where.ground_atoms()
+        self._complete(sorted(mentioned), result, "step1")
+
+    def _step2_prime_attribute_completion(self, result: GuaResult) -> None:
         schema = self.theory.schema
         if schema is None:
             return
-        store = self.theory.store
-        for atom in sorted(insert.body.ground_atoms()):
-            for obligation in schema.type_obligations(atom):
-                if not store.contains_atom(obligation):
-                    self._add(Not(Atom(obligation)), result, "step2'")
-                    result.stats.completion_additions += 1
+        for atom in result.writers:
+            self._complete(schema.type_obligations(atom), result, "step2'")
 
-    def _step2_rename(self, insert: Insert, result: GuaResult) -> GroundSubstitution:
+    def _step2_rename(self, result: GuaResult) -> GroundSubstitution:
         mapping: Dict[GroundAtom, PredicateConstant] = {}
-        for atom in sorted(insert.body.ground_atoms()):
+        for atom in result.writers:
             fresh = self.theory.fresh_predicate_constant()
             mapping[atom] = fresh
             redirected = self.theory.store.rename(atom, fresh)
@@ -442,37 +291,47 @@ class GuaExecutor:
         return sigma
 
     def _step3_define(
-        self, insert: Insert, sigma: GroundSubstitution, result: GuaResult
+        self, pairs: Pairs, sigma: GroundSubstitution, result: GuaResult
     ) -> None:
-        clause = sigma.apply(insert.where)
-        self._add(Implies(clause, insert.body), result, "step3")
+        for where, body in pairs:
+            self._add(Implies(sigma.apply(where), body), result, "step3")
 
     def _step4_restrict(
-        self, insert: Insert, sigma: GroundSubstitution, result: GuaResult
+        self, pairs: Pairs, sigma: GroundSubstitution, result: GuaResult
     ) -> None:
         """Step 4, parameterized by the restriction policy (Section 3.4:
-        other semantics arise "simply by altering formula (1)")."""
+        other semantics arise "simply by altering formula (1)").
+
+        Written atoms are grouped by the pairs that write them; a group's
+        guard is the conjunction of those pairs' ``!(phi_i)σ``.
+        """
         if not result.fresh_constants:
             return
         if self.restriction_policy == "amnesic":
             return  # formula (1) dropped: old values forgotten everywhere
-        biconditionals = [
-            Iff(Atom(atom), Atom(fresh))
-            for atom, fresh in sorted(
-                result.fresh_constants.items(), key=lambda kv: kv[0]
-            )
-        ]
+        biconditionals = {
+            atom: Iff(Atom(atom), Atom(fresh))
+            for atom, fresh in result.fresh_constants.items()
+        }
         if self.restriction_policy == "guarded":
             # formula (1) without its guard: old values always pinned.
-            for biconditional in biconditionals:
+            for biconditional in biconditionals.values():
                 self._add(biconditional, result, "step4")
             return
-        clause = Not(sigma.apply(insert.where))
+        groups: Dict[Tuple[int, ...], List[Formula]] = {}
+        for atom, biconditional in biconditionals.items():
+            groups.setdefault(result.writers[atom], []).append(biconditional)
+        guards = {
+            writers: conjoin([Not(sigma.apply(pairs[i][0])) for i in writers])
+            for writers in groups
+        }
         if self.combine_restrict:
-            self._add(Implies(clause, conjoin(biconditionals)), result, "step4")
+            for writers, group in groups.items():
+                self._add(Implies(guards[writers], conjoin(group)), result, "step4")
         else:
-            for biconditional in biconditionals:
-                self._add(Implies(clause, biconditional), result, "step4")
+            for atom, biconditional in biconditionals.items():
+                guard = guards[result.writers[atom]]
+                self._add(Implies(guard, biconditional), result, "step4")
 
     # -- Step 5: type axiom instantiation ----------------------------------------------
 
@@ -496,33 +355,42 @@ class GuaExecutor:
         return False
 
     def _step5_type_axioms(
-        self, insert: Insert, result: GuaResult
+        self, pairs: Pairs, result: GuaResult
     ) -> Set[GroundAtom]:
         schema = self.theory.schema
         if schema is None:
             return set()
-        body_atoms = insert.body.ground_atoms()
+        writers = result.writers
+
+        def guaranteed(atom: GroundAtom, obligation: GroundAtom) -> bool:
+            # Whichever clause fired, every body that writes *atom* must
+            # guarantee *obligation* for the produced models to satisfy it.
+            return all(
+                self._body_guarantees(pairs[i][1], obligation)
+                for i in writers[atom]
+            )
+
         universe = self.theory.atom_universe()
         instances: List[Tuple[GroundAtom, Tuple[GroundAtom, ...]]] = []
 
-        # Condition (1): a relation atom in w whose attribute obligations
-        # are not all guaranteed by w.
-        for atom in sorted(body_atoms):
+        # Condition (1): a written relation atom whose attribute obligations
+        # are not all guaranteed by the bodies that write it.
+        for atom in writers:
             obligations = schema.type_obligations(atom)
             if not obligations:
                 continue
-            if all(self._body_guarantees(insert.body, ob) for ob in obligations):
+            if all(guaranteed(atom, ob) for ob in obligations):
                 continue
             instances.append((atom, obligations))
 
-        # Condition (2): an attribute atom in w that w does not guarantee —
-        # the update may delete it from some worlds, so every relation atom
-        # in the theory obliged by it needs its instance materialized.
+        # Condition (2): a written attribute atom not guaranteed by the
+        # bodies that write it — the update may delete it from some worlds,
+        # so every relation atom in the theory obliged by it needs its
+        # instance materialized.
         touched_attributes = {
             atom
-            for atom in body_atoms
-            if schema.is_attribute(atom.predicate)
-            and not self._body_guarantees(insert.body, atom)
+            for atom in writers
+            if schema.is_attribute(atom.predicate) and not guaranteed(atom, atom)
         }
         if touched_attributes:
             for atom in sorted(universe):
@@ -546,9 +414,7 @@ class GuaExecutor:
 
     # -- Step 6: dependency instantiation -----------------------------------------------
 
-    def _step6_dependencies(
-        self, insert: Insert, result: GuaResult
-    ) -> Set[GroundAtom]:
+    def _step6_dependencies(self, result: GuaResult) -> Set[GroundAtom]:
         dependencies = self.theory.dependencies
         if not dependencies:
             return set()
@@ -557,7 +423,9 @@ class GuaExecutor:
         new_atoms: Set[GroundAtom] = set()
         for dependency in dependencies:
             if self.incremental_dependencies:
-                instances = self._incremental_instances(dependency, insert)
+                instances = self._incremental_instances(
+                    dependency, result.writers
+                )
             else:
                 universe = universe or self.theory.atom_universe()
                 instances = dependency.instantiations(universe)
@@ -580,7 +448,7 @@ class GuaExecutor:
                 new_atoms.update(fresh)
         return new_atoms
 
-    def _incremental_instances(self, dependency, insert: Insert):
+    def _incremental_instances(self, dependency, touched: Iterable[GroundAtom]):
         """Per-update Step 6 grounding via the store's live indexes.
 
         Functional dependencies use the Section 3.6 key index (O(g log R)
@@ -590,7 +458,6 @@ class GuaExecutor:
         from repro.theory.dependencies import FdKeyIndex, FunctionalDependency
 
         store = self.theory.store
-        touched = insert.body.ground_atoms()
         if isinstance(dependency, FunctionalDependency):
             key_index = self.theory.fd_key_index(
                 dependency, lambda: FdKeyIndex(dependency)
@@ -629,6 +496,15 @@ class GuaExecutor:
             if atom in new_atoms or not store.contains_atom(atom):
                 self._add(Not(Atom(atom)), result, "step7")
                 result.stats.completion_additions += 1
+
+
+def _count_atom_instances(formula: Formula) -> int:
+    """The paper's g, per formula: instances of ground atomic formulas."""
+    return sum(
+        1
+        for node in formula.walk()
+        if isinstance(node, Atom) and isinstance(node.atom, GroundAtom)
+    )
 
 
 def gua_update(

@@ -16,7 +16,8 @@ updates simultaneously."  This module performs that reduction:
 * grounding an :class:`OpenUpdate` against a theory yields a
   :class:`~repro.ldml.simultaneous.SimultaneousInsert` of one ground update
   per binding, executed atomically by
-  :meth:`~repro.core.gua.GuaExecutor.apply_simultaneous`.
+  :meth:`~repro.core.gua.GuaExecutor.apply` — the same Steps 1-7 that run
+  a ground update, which is simply the one-pair set.
 
 Internally a variable rides through the ordinary formula machinery as a
 reserved constant ``_var_<name>``, so no parallel AST is needed; the

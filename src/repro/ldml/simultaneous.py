@@ -2,9 +2,10 @@
 
 "Updates with variables can be reduced to the problem of performing a set
 of ground updates simultaneously" (Section 4).  This module defines that
-set-of-updates object and its model-level semantics; the GUA generalization
-that executes it syntactically lives in :meth:`repro.core.gua.GuaExecutor.
-apply_simultaneous`.
+set-of-updates object and its model-level semantics.  It is executed
+syntactically by :meth:`repro.core.gua.GuaExecutor.apply`, the one
+implementation of GUA's Steps 1-7: a ground INSERT ``w WHERE phi`` runs as
+the one-pair set ``{(phi, w)}``, a simultaneous set as its own pairs.
 
 Semantics (the natural generalization of INSERT's S-sets): given pairs
 ``(phi_1, w_1), ..., (phi_k, w_k)`` and a model M, let A be the set of
@@ -83,13 +84,6 @@ class SimultaneousInsert:
 
     def atoms(self) -> FrozenSet[GroundAtom]:
         return self.written_atoms() | self.read_atoms()
-
-    def as_single_insert(self) -> Optional[Insert]:
-        """The plain INSERT when the set is a singleton, else None."""
-        if len(self.pairs) == 1:
-            where, body = self.pairs[0]
-            return Insert(body, where)
-        return None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SimultaneousInsert) and self.pairs == other.pairs

@@ -5,7 +5,8 @@ checks nothing.  This module plants known bugs into algorithm GUA — each a
 small mutation of Step 4, the restrictor that pins old values in the worlds
 the update did not select (formula (1) of Section 3.3) — and the test suite
 verifies the oracle catches every one and the shrinker reduces it to a
-minimal reproducer.
+minimal reproducer.  GUA has one Step 4 for ground and simultaneous
+updates alike, so every mutation reaches both.
 
 The mutations are interesting precisely because Step 4 is the subtle step:
 dropping it (or mangling its guard) yields a theory that is still
@@ -23,48 +24,41 @@ from repro.core.gua import GuaExecutor
 from repro.logic.syntax import Atom, Iff, Implies, Not, conjoin
 
 
-def _step4_skip(self, insert, sigma, result) -> None:
+def _step4_skip(self, pairs, sigma, result) -> None:
     """Step 4 omitted entirely: worlds the update did not select forget
     their old values (amnesic semantics masquerading as Winslett's)."""
 
 
-def _step4_drop_guard(self, insert, sigma, result) -> None:
+def _step4_drop_guard(self, pairs, sigma, result) -> None:
     """The guard's negation is lost: old values are pinned in the *updated*
     worlds (where fresh names must stay free) instead of the untouched
     ones."""
-    if not result.fresh_constants:
-        return
-    biconditionals = [
-        Iff(Atom(atom), Atom(fresh))
-        for atom, fresh in sorted(
-            result.fresh_constants.items(), key=lambda kv: kv[0]
+    groups: Dict[tuple, list] = {}
+    for atom, fresh in result.fresh_constants.items():
+        groups.setdefault(result.writers[atom], []).append(
+            Iff(Atom(atom), Atom(fresh))
         )
-    ]
-    clause = sigma.apply(insert.where)  # BUG: should be Not(...)
-    self._add(Implies(clause, conjoin(biconditionals)), result, "step4")
+    for writers, group in groups.items():
+        # BUG: each clause should be Not(...)
+        clause = conjoin([sigma.apply(pairs[i][0]) for i in writers])
+        self._add(Implies(clause, conjoin(group)), result, "step4")
 
 
-def _step4_pin_everywhere(self, insert, sigma, result) -> None:
+def _step4_pin_everywhere(self, pairs, sigma, result) -> None:
     """The guard is dropped altogether: old values pinned unconditionally,
     so the update cannot change what the theory knew before."""
-    if not result.fresh_constants:
-        return
-    for atom, fresh in sorted(
-        result.fresh_constants.items(), key=lambda kv: kv[0]
-    ):
+    for atom, fresh in result.fresh_constants.items():
         self._add(Iff(Atom(atom), Atom(fresh)), result, "step4")
 
 
-def _step4_first_only(self, insert, sigma, result) -> None:
+def _step4_first_only(self, pairs, sigma, result) -> None:
     """Only the first historical value is restricted — a classic
     lost-in-the-loop bug."""
-    if not result.fresh_constants:
-        return
-    clause = Not(sigma.apply(insert.where))
-    for atom, fresh in sorted(
-        result.fresh_constants.items(), key=lambda kv: kv[0]
-    )[:1]:
-        self._add(Implies(clause, Iff(Atom(atom), Atom(fresh))), result, "step4")
+    for atom, fresh in list(result.fresh_constants.items())[:1]:
+        guard = conjoin(
+            [Not(sigma.apply(pairs[i][0])) for i in result.writers[atom]]
+        )
+        self._add(Implies(guard, Iff(Atom(atom), Atom(fresh))), result, "step4")
 
 
 #: name -> broken ``_step4_restrict`` replacement.

@@ -39,15 +39,6 @@ class TestConstruction:
         assert sim.read_atoms() == {a, c}
         assert sim.atoms() == {a, b, c}
 
-    def test_singleton_degenerates(self):
-        sim = SimultaneousInsert([("P(a)", "P(b)")])
-        single = sim.as_single_insert()
-        assert single == Insert("P(b)", "P(a)")
-
-    def test_no_single_for_pairs(self):
-        sim = SimultaneousInsert([("T", "P(a)"), ("T", "P(b)")])
-        assert sim.as_single_insert() is None
-
     def test_equality(self):
         assert SimultaneousInsert([("T", "P(a)"), ("T", "P(b)")]) == (
             SimultaneousInsert([("T", "P(a)"), ("T", "P(b)")])
@@ -187,6 +178,27 @@ class TestGuaSimultaneous:
         GuaExecutor(theory).apply_simultaneous(sim)
         assert theory.world_set() == naive.worlds
 
+    def test_step4_groups_atoms_by_writing_pairs(self):
+        from repro.core.gua import GuaExecutor
+        from repro.theory.theory import ExtendedRelationalTheory
+
+        # Q(a) and Q(b) are written by the same two pairs, R(c) by one.
+        sim = SimultaneousInsert(
+            [("P(a)", "Q(a) & Q(b) & R(c)"), ("P(b)", "Q(a) | Q(b)")]
+        )
+        theory = ExtendedRelationalTheory(formulas=["P(a) | P(b)"])
+        result = GuaExecutor(theory).apply(sim)
+        restrictions = [str(f) for f in result.step_additions["step4"]]
+        assert restrictions == [
+            "!P(a) & !P(b) -> (Q(a) <-> @p0) & (Q(b) <-> @p1)",
+            "!P(a) -> (R(c) <-> @p2)",
+        ]
+        split = ExtendedRelationalTheory(formulas=["P(a) | P(b)"])
+        result = GuaExecutor(split, combine_restrict=False).apply(sim)
+        assert len(result.step_additions["step4"]) == 3
+        assert theory.world_set() == split.world_set()
+        self._check(["P(a) | P(b)"], sim.pairs)
+
     def test_singleton_equals_plain_apply(self):
         from repro.core.gua import GuaExecutor
         from repro.theory.theory import ExtendedRelationalTheory
@@ -198,3 +210,81 @@ class TestGuaSimultaneous:
         )
         GuaExecutor(right).apply(Insert("P(b)", "P(a)"))
         assert left.world_set() == right.world_set()
+        assert left.formulas() == right.formulas()
+
+
+def _assert_ground_is_one_pair_set(theory, update):
+    """``apply(update)`` and ``apply(SimultaneousInsert([(w, b)]))`` on
+    copies of *theory* add the very same wffs, step by step, with the same
+    counters; returns the ground side's theory to continue from."""
+    from repro.core.gua import GuaExecutor
+
+    insert = update.to_insert()
+    ground_theory, pair_theory = theory.copy(), theory.copy()
+    ground = GuaExecutor(ground_theory).apply(update)
+    paired = GuaExecutor(pair_theory).apply(
+        SimultaneousInsert([(insert.where, insert.body)])
+    )
+    assert len(ground.added_formulas) == len(paired.added_formulas)
+    assert all(
+        mine is theirs
+        for mine, theirs in zip(ground.added_formulas, paired.added_formulas)
+    ), update
+    assert ground.step_additions.keys() == paired.step_additions.keys()
+    for step, added in ground.step_additions.items():
+        assert len(added) == len(paired.step_additions[step])
+        assert all(
+            mine is theirs
+            for mine, theirs in zip(added, paired.step_additions[step])
+        ), (update, step)
+    assert ground.stats == paired.stats
+    assert ground.fresh_constants == paired.fresh_constants
+    return ground_theory
+
+
+class TestGroundIsOnePairSet:
+    """A ground INSERT ``w WHERE phi`` is the one-pair set ``{(phi, w)}``:
+    both forms run the same Steps 1-7 and store the same wffs."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_seeded_cases(self, seed):
+        from repro.ldml.ast import GroundUpdate
+        from repro.qa import generate_case
+
+        case = generate_case(seed)
+        theory = case.initial_theory()
+        ground = [
+            update
+            for update in case.statement_objects()
+            if isinstance(update, GroundUpdate)
+        ]
+        for update in ground:
+            theory = _assert_ground_is_one_pair_set(theory, update)
+
+    def test_schema_and_functional_dependency(self):
+        from repro.ldml.parser import parse_update
+        from repro.theory.dependencies import FunctionalDependency
+        from repro.theory.theory import ExtendedRelationalTheory
+
+        E = Predicate("E", 2)
+        schema = schema_from_dict({"E": ["K", "V"]})
+        theory = ExtendedRelationalTheory(
+            schema=schema,
+            dependencies=[FunctionalDependency(E, [0], [1])],
+            formulas=[
+                "E(k,v1) & K(k) & V(v1)",
+                "K(j) & V(v2) & V(v3)",
+                "E(j,v2) & !E(j,v3) | E(j,v3) & !E(j,v2)",
+            ],
+        )
+        assert theory.satisfies_axiom_invariant()
+        # Between them the statements reach Steps 1, 2', 3, 4, 5 and 6.
+        for text in (
+            "INSERT E(m,v4) & K(m) & V(v4) WHERE T",
+            "INSERT E(n,v1) & K(n) WHERE E(k,v1)",
+            "DELETE E(k,v1) WHERE E(j,v2)",
+            "MODIFY E(j,v3) TO BE E(j,v5) WHERE T",
+            "INSERT !V(v1) WHERE !E(j,v2)",
+            "INSERT E(k,v6) | E(p,v6) WHERE T",
+        ):
+            theory = _assert_ground_is_one_pair_set(theory, parse_update(text))

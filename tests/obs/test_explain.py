@@ -85,6 +85,22 @@ class TestE3Insert:
         assert "Step 4  (restrict the update): added 1 wff(s)" in report
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestOpenInsert:
+    def test_statement_names_each_clause(self, backend):
+        # An open update runs as the simultaneous set it grounds to; the
+        # statement line shows that set, one WHERE clause per binding.
+        db = Database(facts=["P(a)", "P(b)"], backend=backend)
+        db.update("INSERT Q(?x) WHERE P(?x)")
+        report = db.explain_update()
+        statement = next(
+            line for line in report.splitlines() if "statement:" in line
+        )
+        assert "INSERT Q(a) WHERE P(a)" in statement
+        assert "INSERT Q(b) WHERE P(b)" in statement
+        assert "Step 3  (define the update): added 2 wff(s)" in report
+
+
 class TestSourceAndTrace:
     def test_gua_uses_live_result(self):
         db = paper_db("gua")

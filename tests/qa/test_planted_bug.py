@@ -33,6 +33,37 @@ def test_oracle_catches_planted_bug(bug):
     assert run_case(case).ok
 
 
+#: Multi-pair simultaneous updates: (section, [(where, body), ...]).
+MULTI_PAIR_CASES = [
+    (["P(a)"], [("T", "P(b)"), ("T", "!P(a)")]),
+    (["P(a) | P(b)"], [("P(a)", "P(c) & !P(a)"), ("P(b)", "P(c) | P(a)")]),
+    (["P(a) | P(b)"], [("P(a)", "P(c)"), ("P(b)", "P(d)")]),
+]
+
+
+def _multi_pair_exposed(section, pairs):
+    """Does GUA's theory disagree with the world-set oracle on this case?"""
+    from repro.core.naive import NaiveWorldStore
+    from repro.ldml.simultaneous import SimultaneousInsert
+    from repro.theory.theory import ExtendedRelationalTheory
+
+    theory = ExtendedRelationalTheory(formulas=section)
+    update = SimultaneousInsert(pairs)
+    expected = NaiveWorldStore.from_theory(theory).apply(update).worlds
+    GuaExecutor(theory).apply(update)
+    return theory.world_set() != expected
+
+
+@pytest.mark.parametrize("bug", sorted(PLANTED_BUGS))
+def test_planted_bug_reaches_simultaneous_updates(bug):
+    # Ground and simultaneous updates share one Step 4, so every mutation
+    # must show on some multi-pair update as well.
+    assert not any(_multi_pair_exposed(*case) for case in MULTI_PAIR_CASES)
+    with planted_bug(bug):
+        exposed = [_multi_pair_exposed(*case) for case in MULTI_PAIR_CASES]
+    assert any(exposed), f"{bug} invisible to every multi-pair case"
+
+
 def test_planted_bug_shrinks_to_tiny_reproducer():
     bug = "step4-drop-guard"
     with planted_bug(bug):
