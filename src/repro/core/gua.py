@@ -370,7 +370,6 @@ class GuaExecutor:
                 for i in writers[atom]
             )
 
-        universe = self.theory.atom_universe()
         instances: List[Tuple[GroundAtom, Tuple[GroundAtom, ...]]] = []
 
         # Condition (1): a written relation atom whose attribute obligations
@@ -392,12 +391,15 @@ class GuaExecutor:
             for atom in writers
             if schema.is_attribute(atom.predicate) and not guaranteed(atom, atom)
         }
+        # Only this condition reads the whole universe (O(R)); an update
+        # that fires neither condition costs nothing here.
         if touched_attributes:
-            for atom in sorted(universe):
+            for atom in sorted(self.theory.atom_universe()):
                 obligations = schema.type_obligations(atom)
                 if obligations and set(obligations) & touched_attributes:
                     instances.append((atom, obligations))
 
+        store = self.theory.store
         new_atoms: Set[GroundAtom] = set()
         for relation_atom, obligations in instances:
             instance = Implies(
@@ -405,11 +407,13 @@ class GuaExecutor:
                 conjoin([Atom(ob) for ob in obligations]),
             )
             if self._register_axiom_instance(instance):
+                new_atoms.update(
+                    candidate
+                    for candidate in (relation_atom, *obligations)
+                    if not store.contains_atom(candidate)
+                )
                 self._add(instance, result, "step5")
                 result.stats.type_instances += 1
-                for candidate in (relation_atom, *obligations):
-                    if candidate not in universe:
-                        new_atoms.add(candidate)
         return new_atoms
 
     # -- Step 6: dependency instantiation -----------------------------------------------

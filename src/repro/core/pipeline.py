@@ -269,7 +269,8 @@ class UpdateBackend:
         raise NotImplementedError
 
     def size(self) -> int:
-        """The backend's growth measure (journaled with each update)."""
+        """The backend's growth measure (``Database.size()``).  The journal
+        does not record it: on a theory it walks every stored wff."""
         raise NotImplementedError
 
     def metric_sources(self) -> List[Tuple[str, Collector]]:
@@ -378,8 +379,8 @@ class LogBackend(UpdateBackend):
         return self.store.materialize().atom_universe()
 
     def size(self) -> int:
-        # Deliberately O(1): appends must stay cheap, so the journaled size
-        # measure is the pending-log length, never a forced replay.
+        # Deliberately O(1): the size measure is the pending-log length,
+        # never a forced replay.
         return self.store.pending()
 
     def compact(self) -> None:
@@ -577,7 +578,7 @@ class UpdatePipeline:
                     event.detail.update(detail)
 
             with self.tracer.stage("journal") as event:
-                entry = self.journal.record(update, self.backend.size())
+                entry = self.journal.record(update)
                 trace.sequence = entry.sequence
                 event.detail["kind"] = entry.kind
                 event.detail["sequence"] = entry.sequence

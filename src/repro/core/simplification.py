@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.logic.simplify import simplify as simplify_formula
+from repro.logic.simplify import simplify as simplify_formula, total_size
 from repro.logic.syntax import (
     FALSE,
     TRUE,
@@ -86,11 +86,13 @@ def simplify_theory(
     onto ground atoms, and the final universe-preservation step keeps the
     completion axioms' disjunct sets intact.
     """
-    size_before = theory.size()
     wffs_before = len(theory.stored_wffs())
     original_universe = theory.atom_universe()
 
     formulas = list(theory.formulas())
+    # Sizes are read off the materialized formulas (cached per node), not
+    # by walking the store.
+    size_before = total_size(formulas)
     units_propagated = 0
     constants_eliminated = 0
 
@@ -164,7 +166,7 @@ def simplify_theory(
     theory.replace_formulas(formulas)
     return SimplificationReport(
         size_before=size_before,
-        size_after=theory.size(),
+        size_after=total_size(formulas),
         wffs_before=wffs_before,
         wffs_after=len(theory.stored_wffs()),
         units_propagated=units_propagated,

@@ -52,7 +52,6 @@ class LogEntry:
 
     sequence: int
     update: JournaledUpdate
-    theory_size_after: int
 
     @property
     def kind(self) -> str:
@@ -65,14 +64,8 @@ class UpdateLog:
     def __init__(self):
         self._entries: List[LogEntry] = []
 
-    def record(
-        self, update: JournaledUpdate, theory_size_after: int
-    ) -> LogEntry:
-        entry = LogEntry(
-            sequence=len(self._entries),
-            update=update,
-            theory_size_after=theory_size_after,
-        )
+    def record(self, update: JournaledUpdate) -> LogEntry:
+        entry = LogEntry(sequence=len(self._entries), update=update)
         self._entries.append(entry)
         return entry
 

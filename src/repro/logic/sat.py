@@ -130,23 +130,29 @@ class Solver:
         """Conjoin one more clause; cheap, and valid between solve() calls.
 
         New atoms are interned on the fly.  This is the incremental
-        interface the model enumerators use for blocking clauses.
+        interface the model enumerators and the theory's persistent query
+        solver use.
         """
         self.stats.clauses_added += 1
         self._branch_order = None  # literal counts change; recompute lazily
-        encoded_set = set()
-        # Deterministic interning order: stable runs, reproducible models.
-        for atom_, polarity in sorted(clause_, key=lambda lv: (str(lv[0]), lv[1])):
-            var = self._var_of.get(atom_)
-            if var is None:
-                var = len(self._atom_of)
-                self._var_of[atom_] = var
-                self._atom_of.append(atom_)
-                self._watches.append([])
-                self._watches.append([])
-                self._lit_counts.append(0)
-                self._lit_counts.append(0)
-            encoded_set.add(var << 1 | (1 if polarity else 0))
+        var_of = self._var_of
+        unseen = [lv for lv in clause_ if lv[0] not in var_of]
+        if unseen:
+            # Deterministic interning order: stable runs, reproducible
+            # models.  Only atoms not yet interned are rendered and sorted.
+            unseen.sort(key=lambda lv: (str(lv[0]), lv[1]))
+            for atom_, _ in unseen:
+                if atom_ not in var_of:
+                    var_of[atom_] = len(self._atom_of)
+                    self._atom_of.append(atom_)
+                    self._watches.append([])
+                    self._watches.append([])
+                    self._lit_counts.append(0)
+                    self._lit_counts.append(0)
+        encoded_set = {
+            var_of[atom_] << 1 | (1 if polarity else 0)
+            for atom_, polarity in clause_
+        }
         if not encoded_set:
             self._contains_empty = True
             return
@@ -347,10 +353,9 @@ class Solver:
         order = self._branch_order
         if order is None:
             counts = self._lit_counts
-            order = sorted(
-                (lit for lit in range(len(counts)) if counts[lit]),
-                key=lambda lit: (-counts[lit], lit),
-            )
+            order = [lit for lit in range(len(counts)) if counts[lit]]
+            # Stable, so equal counts keep ascending literal order.
+            order.sort(key=counts.__getitem__, reverse=True)
             self._branch_order = order
         for lit in order:
             if assignment[lit >> 1] == _UNASSIGNED:

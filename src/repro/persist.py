@@ -351,7 +351,7 @@ def database_from_dict(data: Dict[str, Any]):
             # by re-executing the journal.  Entries are already normalized
             # and attribute-tagged, so execution must not re-tag.
             db.backend.execute(update)
-        db.transactions.log.record(update, db.backend.size())
+        db.transactions.log.record(update)
     if live is not None and not replay_into_backend:
         # The gua backend restores its exact saved syntactic state directly
         # (cheaper than replaying, and preserves predicate-constant names).

@@ -15,14 +15,16 @@ interactions — so this package generates them:
 * :mod:`repro.qa.oracle` — the differential harness: every case runs
   through all three ``Database`` backends plus the per-model S-set
   semantics of :mod:`repro.ldml.semantics`, comparing alternative-world
-  sets after every statement, plus the Section 3.1 metamorphic laws
-  (operator reduction to INSERT, update-then-rollback identity,
+  sets after every statement, checking ``ask`` certain/possible answers
+  against a scan of the oracle's worlds, plus the Section 3.1 metamorphic
+  laws (operator reduction to INSERT, update-then-rollback identity,
   persistence round-trip);
 * :mod:`repro.qa.shrink` — a delta-debugging minimizer that reduces a
   failing (theory, script) pair to a minimal reproducer and emits it as a
   ready-to-paste pytest regression;
-* :mod:`repro.qa.plant` — deliberately-broken GUA variants (e.g. a mutated
-  Step 4 restrictor) used to prove the oracle catches real bugs;
+* :mod:`repro.qa.plant` — deliberately-broken engine variants (mutated
+  GUA Step 4 restrictors, a query solver that keeps a stale activation
+  literal live) used to prove the oracle catches real bugs;
 * :mod:`repro.qa.cli` — the ``repro fuzz`` entry point
   (``python -m repro fuzz --seed 7 --cases 200``).
 

@@ -74,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--plant",
         metavar="BUG",
-        help="run with a deliberately broken GUA (see repro.qa.plant) — "
+        help="run with a deliberately broken engine (see repro.qa.plant) — "
         "for validating that the oracle catches it",
     )
     parser.add_argument(

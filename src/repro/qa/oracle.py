@@ -10,12 +10,15 @@ updating every world individually with the Section 3.2 S-set semantics.
   *journaled executables* (normalized + attribute-tagged — exactly what the
   backends executed) world by world,
 
-comparing world sets after every statement.  On top of the diagram it
-checks the Section 3.1 metamorphic laws: rewriting ground DELETE / MODIFY /
-ASSERT to their INSERT reductions must not change the outcome; an update
-sequence followed by a rollback to a savepoint is the identity; and a
-persistence round-trip (``database_to_dict`` → ``database_from_dict``)
-preserves the worlds, the backend, and the journaled update objects.
+comparing world sets after every statement, and comparing the ``ask``
+answers of the gua and log backends (each universe atom, its negation, a
+few pairwise conjunctions and disjunctions) with a scan of the oracle's
+worlds.  On top of the diagram it checks the Section 3.1 metamorphic laws:
+rewriting ground DELETE / MODIFY / ASSERT to their INSERT reductions must
+not change the outcome; an update sequence followed by a rollback to a
+savepoint is the identity; and a persistence round-trip
+(``database_to_dict`` → ``database_from_dict``) preserves the worlds, the
+backend, and the journaled update objects.
 
 World enumeration is capped (``world_cap``): a case whose world set
 outgrows the cap has the affected comparisons *skipped* (counted in
@@ -35,6 +38,7 @@ from repro.ldml.ast import GroundUpdate
 from repro.ldml.open_updates import OpenUpdate
 from repro.ldml.semantics import update_worlds
 from repro.ldml.simultaneous import update_worlds_simultaneously
+from repro.logic.syntax import And, Atom, Formula, Not, Or
 from repro.obs import span
 from repro.qa.generate import FuzzCase
 from repro.theory.worlds import AlternativeWorld
@@ -43,6 +47,7 @@ from repro.theory.worlds import AlternativeWorld
 DEFAULT_CHECKS: Tuple[str, ...] = (
     "diagram",
     "backends",
+    "answers",
     "reductions",
     "rollback",
     "persist",
@@ -50,6 +55,14 @@ DEFAULT_CHECKS: Tuple[str, ...] = (
 
 #: The backends every case runs through.
 BACKEND_NAMES: Tuple[str, ...] = ("gua", "log", "naive")
+
+#: Backends whose ``ask`` answers the ``answers`` check compares (the naive
+#: backend answers by scanning its own worlds, which ``backends`` covers).
+ASKED_BACKENDS: Tuple[str, ...] = ("gua", "log")
+
+#: Adjacent atom pairs asked as ``a & b`` and ``a | b`` by the ``answers``
+#: check, after every atom and its negation.
+ANSWER_PAIRS = 3
 
 
 @dataclass
@@ -269,6 +282,11 @@ def _run_case(
                     )
                     return
 
+        if "answers" in checks and _check_answers(
+            dbs, oracle_worlds, index, report
+        ):
+            return
+
     final_worlds = _capped_world_set(dbs["gua"], world_cap)
 
     if "reductions" in checks:
@@ -277,6 +295,55 @@ def _run_case(
         _check_rollback(case, applied, world_cap, report)
     if "persist" in checks:
         _check_persist(dbs, world_cap, report)
+
+
+def _answer_queries(universe) -> List[Formula]:
+    atoms = [Atom(atom) for atom in sorted(universe)]
+    queries: List[Formula] = []
+    for leaf in atoms:
+        queries.extend((leaf, Not(leaf)))
+    for left, right in list(zip(atoms, atoms[1:]))[:ANSWER_PAIRS]:
+        queries.extend((And((left, right)), Or((left, right))))
+    return queries
+
+
+def _check_answers(
+    dbs: Dict[str, Any],
+    oracle_worlds: Optional[FrozenSet[AlternativeWorld]],
+    index: int,
+    report: CaseReport,
+) -> bool:
+    """``ask`` on gua and log agrees with a scan of the oracle's worlds:
+    certain iff every world satisfies the query, possible iff some does
+    (an empty world set makes every query certain and none possible).
+    Returns True when it recorded a discrepancy."""
+    if oracle_worlds is None:
+        report.checks_skipped += 1
+        return False
+    for query in _answer_queries(dbs["gua"].backend.atom_universe()):
+        holds = [world.satisfies(query) for world in oracle_worlds]
+        expected = (all(holds), any(holds))
+        for name in ASKED_BACKENDS:
+            answer = dbs[name].ask(query)
+            if (answer.certain, answer.possible) != expected:
+                report.discrepancies.append(
+                    Discrepancy(
+                        check="answers",
+                        statement_index=index,
+                        message=(
+                            f"{name} answered {answer.status} for {query}, "
+                            "unlike the oracle's worlds"
+                        ),
+                        details={
+                            "query": str(query),
+                            "certain": expected[0],
+                            "possible": expected[1],
+                            "worlds": _render_worlds(oracle_worlds),
+                        },
+                    )
+                )
+                return True
+    return False
 
 
 def _check_reductions(

@@ -12,6 +12,11 @@ Both are decided by SAT over the theory's clauses — no world enumeration:
 * possible(q)  <=>  section & q        is satisfiable;
 * certain(q)   <=>  section & !q       is unsatisfiable.
 
+Each question runs on the theory's persistent query solver
+(:meth:`~repro.theory.theory.ExtendedRelationalTheory.solve_with`): the
+section's clauses are already in it, so an ask encodes and adds only the
+query's own clauses (plus whatever wffs changed since the last ask).
+
 Queries are wffs over L' — predicate constants are invisible and rejected
 (Section 2: they "may not appear in any query posed to the database").
 Query atoms outside the theory's atom universe are folded to F first (the
@@ -26,9 +31,9 @@ from typing import Union
 from repro.errors import QueryError
 from repro.logic.cnf import tseitin
 from repro.logic.parser import parse
-from repro.logic.sat import Solver
 from repro.logic.syntax import Bottom, Formula, Not, Top
 from repro.logic.transform import condition
+from repro.obs.spans import span
 from repro.theory.theory import ExtendedRelationalTheory
 
 
@@ -81,10 +86,8 @@ def is_possible(
         return theory.is_consistent()
     if isinstance(prepared, Bottom):
         return False
-    clauses = theory.clauses()
     encoded = tseitin(prepared, prefix="@q")
-    clauses.extend(encoded.clauses)
-    return Solver(clauses, stats=theory.sat_stats).solve() is not None
+    return theory.solve_with(encoded.clauses) is not None
 
 
 def is_certain(
@@ -98,20 +101,26 @@ def is_certain(
     prepared = _prepare_query(theory, query)
     if isinstance(prepared, Top):
         return True
-    negated = Not(prepared)
-    clauses = theory.clauses()
-    encoded = tseitin(negated, prefix="@q")
-    clauses.extend(encoded.clauses)
-    return Solver(clauses, stats=theory.sat_stats).solve() is None
+    encoded = tseitin(Not(prepared), prefix="@q")
+    return theory.solve_with(encoded.clauses) is None
 
 
 def ask(theory: ExtendedRelationalTheory, query: Union[Formula, str]) -> Answer:
-    """Full three-valued answer (two SAT calls, short-circuited)."""
-    certain = is_certain(theory, query)
-    if certain:
-        # certain implies possible unless the theory is inconsistent.
-        return Answer(certain=True, possible=theory.is_consistent())
-    return Answer(certain=False, possible=is_possible(theory, query))
+    """Full three-valued answer (two SAT calls, short-circuited).
+
+    Traced as a ``query.ask`` span whose ``synced``, ``retired`` and
+    ``rebuilt`` attributes say what bringing the query solver in step with
+    the section cost; the ``sat.solve`` spans nest under it.
+    """
+    with span("query.ask") as sp:
+        synced, retired, rebuilt = theory.sync_query_solver()
+        if sp:
+            sp.attrs.update(synced=synced, retired=retired, rebuilt=rebuilt)
+        certain = is_certain(theory, query)
+        if certain:
+            # certain implies possible unless the theory is inconsistent.
+            return Answer(certain=True, possible=theory.is_consistent())
+        return Answer(certain=False, possible=is_possible(theory, query))
 
 
 def witness_world(
@@ -130,16 +139,10 @@ def witness_world(
 
     prepared = _prepare_query(theory, query)
     goal = prepared if holds else Not(prepared)
-    if isinstance(goal, Top):
-        goal_clauses = []
-    elif isinstance(goal, Bottom):
+    if isinstance(goal, Bottom):
         return None
-    else:
-        encoded = tseitin(goal, prefix="@w")
-        goal_clauses = list(encoded.clauses)
-    clauses = theory.clauses()
-    clauses.extend(goal_clauses)
-    model = Solver(clauses, stats=theory.sat_stats).solve()
+    goal_clauses = () if isinstance(goal, Top) else tseitin(goal, prefix="@w").clauses
+    model = theory.solve_with(goal_clauses)
     if model is None:
         return None
     universe = theory.atom_universe()

@@ -15,10 +15,14 @@ The completion-axiom invariant — a disjunct for atom f exists iff f appears
 in the theory — is maintained automatically because the derived axioms read
 the store's live indexes.
 
-Reasoning services (consistency, world enumeration/counting) compile the
-section to CNF via Tseitin (selector variables are predicate constants and
-therefore invisible) and run the DPLL enumerator with projection onto the
-ground-atom universe.
+Reasoning services compile the section to CNF via Tseitin (selector
+variables are predicate constants and therefore invisible).  World
+enumeration/counting runs the DPLL enumerator with projection onto the
+ground-atom universe on a solver of its own (it adds blocking clauses);
+every other satisfiability question (consistency, and the query layer's
+certain/possible/witness asks through :meth:`ExtendedRelationalTheory.
+solve_with`) runs on one persistent solver per theory, which takes in only
+the wffs that changed since the last question.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from repro.logic.parser import parse
 from repro.logic.sat import Solver, SolverStats
 from repro.logic.syntax import Formula
 from repro.logic.terms import GroundAtom, Predicate, PredicateConstant
+from repro.logic.valuation import Valuation
 from repro.obs.spans import span
 from repro.theory.axioms import (
     CompletionAxiom,
@@ -57,6 +62,61 @@ from repro.theory.index import StoredWff, WffStore
 from repro.theory.language import Language
 from repro.theory.schema import DatabaseSchema
 from repro.theory.worlds import AlternativeWorld
+
+
+#: The query solver is rebuilt from the clause cache once twice its dead
+#: clauses (retired wff encodings, retired queries, retirement units)
+#: exceed its live ones plus this slack; the slack keeps a small theory
+#: from rebuilding on every ask.
+REBUILD_SLACK = 128
+
+
+#: A wff's entry in the query solver: (version, activation atom, clauses
+#: it guards).
+_Activation = Tuple[int, PredicateConstant, int]
+
+
+class _QuerySolver:
+    """The theory's persistent solver and what it holds.
+
+    Every stored wff's Tseitin clauses are added once, each guarded by the
+    activation literal of the wff's ``(store_id, version)``; a question
+    assumes the live activation literals true.  A retired literal is fixed
+    false by a unit clause, which satisfies every clause it guards.
+    """
+
+    __slots__ = (
+        "solver", "active", "assumptions", "live", "dead", "store_version", "asks"
+    )
+
+    def __init__(
+        self, solver: Solver, active: Dict[int, _Activation], store_version: int
+    ):
+        self.solver = solver
+        self.active = active
+        self.assumptions = [(entry[1], True) for entry in active.values()]
+        self.live = sum(entry[2] for entry in active.values())
+        self.dead = 0
+        self.store_version = store_version
+        self.asks = 0
+
+    def overgrown(self) -> bool:
+        return 2 * self.dead > self.live + REBUILD_SLACK
+
+    def is_current(self, stored: StoredWff) -> bool:
+        """Is *stored*'s present ``(store_id, version)`` the one active?"""
+        entry = self.active.get(stored.store_id)
+        return entry is not None and entry[0] == stored.version
+
+
+def _activation(stored: StoredWff) -> PredicateConstant:
+    return PredicateConstant(f"@a{stored.store_id}_{stored.version}")
+
+
+def _negated(activation: PredicateConstant) -> Clause:
+    """The unit clause ``!activation``: joined to each clause the literal
+    guards, and added alone to retire it."""
+    return frozenset(((activation, False),))
 
 
 @dataclass(frozen=True)
@@ -98,6 +158,8 @@ class ExtendedRelationalTheory:
         self._clause_cache_hits = 0
         self._clause_cache_misses = 0
         self._universe_cache: Tuple[int, Optional[FrozenSet[GroundAtom]]] = (-1, None)
+        self._query_solver: Optional[_QuerySolver] = None
+        self._consistency: Tuple[int, bool] = (-1, False)
         # GUA's cross-update dedup registry for Step 5/6 axiom instances and
         # the per-dependency FD key indexes.  Both are first-class state of
         # the theory (captured by snapshot/restore), not ad-hoc attributes.
@@ -110,8 +172,8 @@ class ExtendedRelationalTheory:
         # invalidate_axiom_instances) without scanning the registry.
         self._axiom_instances_by_atom: Dict[GroundAtom, Set[int]] = {}
         self._fd_key_indexes: Dict[int, object] = {}
-        #: Shared work counters for every solver this theory spins up
-        #: (consistency, world enumeration, and the query layer thread it).
+        #: Shared work counters for every solver this theory runs (the
+        #: persistent query solver and the world enumerators).
         self.sat_stats = SolverStats()
         for formula in formulas:
             self.add_formula(formula)
@@ -317,9 +379,10 @@ class ExtendedRelationalTheory:
         }
 
     def tseitin_statistics(self) -> Dict[str, int]:
-        """Per-wff clause-cache traffic in :meth:`clauses` (``cache_hits``,
-        ``cache_misses``; namespaced under ``tseitin``).  The SAT work
-        counters are ``sat_stats.as_dict()``.  Both are cumulative; see
+        """Per-wff clause-cache traffic (``cache_hits``, ``cache_misses``;
+        namespaced under ``tseitin``) from :meth:`clauses` and the query
+        solver's syncs and rebuilds.  The SAT work counters are
+        ``sat_stats.as_dict()``.  Both are cumulative; see
         :meth:`reset_solver_statistics`."""
         return {
             "cache_hits": self._clause_cache_hits,
@@ -349,35 +412,137 @@ class ExtendedRelationalTheory:
         A fresh list is returned each call (callers append their query
         clauses to it).
         """
-        cache = self._wff_clause_cache
         result: List[Clause] = []
-        live: set = set()
+        live: Set[int] = set()
         for stored in self._store.wffs():
-            key = stored.store_id
-            live.add(key)
-            entry = cache.get(key)
-            if entry is not None and entry[0] == stored.version:
-                self._clause_cache_hits += 1
-                result.extend(entry[1])
-                continue
-            self._clause_cache_misses += 1
-            encoded = tseitin(stored.to_formula(), prefix=f"@ts{key}_")
-            cache[key] = (stored.version, encoded.clauses)
-            result.extend(encoded.clauses)
-        # Drop entries for wffs that have left the store (removal,
-        # simplification's replace_all) once they outnumber the live ones.
-        if len(cache) > 2 * len(live) + 16:
-            for key in [k for k in cache if k not in live]:
-                del cache[key]
+            live.add(stored.store_id)
+            result.extend(self._encoded(stored))
+        self._evict_encodings(live)
         for atom in self.atom_universe():
             result.append(frozenset(((atom, True), (atom, False))))
         return result
 
+    def _encoded(self, stored: StoredWff) -> Tuple[Clause, ...]:
+        """The Tseitin clauses of one stored wff, through the per-wff cache."""
+        entry = self._wff_clause_cache.get(stored.store_id)
+        if entry is not None and entry[0] == stored.version:
+            self._clause_cache_hits += 1
+            return entry[1]
+        self._clause_cache_misses += 1
+        encoded = tseitin(stored.to_formula(), prefix=f"@ts{stored.store_id}_")
+        self._wff_clause_cache[stored.store_id] = (stored.version, encoded.clauses)
+        return encoded.clauses
+
+    def _evict_encodings(self, live) -> None:
+        """Drop cache entries of wffs that have left the store (removal,
+        simplification's replace_all) once they outnumber the live ones."""
+        cache = self._wff_clause_cache
+        if len(cache) > 2 * len(live) + 16:
+            for key in [k for k in cache if k not in live]:
+                del cache[key]
+
+    def sync_query_solver(self) -> Tuple[int, int, bool]:
+        """Bring the persistent query solver in step with the section.
+
+        Adds the guarded clauses of every wff whose ``(store_id, version)``
+        it has not seen and retires the activation literal of every wff
+        that was renamed or has left the store.  When dead clauses would
+        then outnumber half the live ones (plus :data:`REBUILD_SLACK`), the
+        solver is rebuilt from the clause cache instead.  Returns
+        ``(synced, retired, rebuilt)``: wffs whose clauses were added,
+        activation literals retired, and whether it rebuilt.
+        """
+        current = self._query_solver
+        version = self._store.version
+        if current is not None and current.store_version == version and not current.overgrown():
+            return 0, 0, False
+        wffs = self._store.wffs()
+        if current is None:
+            self._rebuild_query_solver(wffs)
+            return len(wffs), 0, True
+        active = current.active
+        kept: Dict[int, _Activation] = {}
+        added: List[Tuple[StoredWff, Tuple[Clause, ...]]] = []
+        for stored in wffs:
+            if current.is_current(stored):
+                kept[stored.store_id] = active[stored.store_id]
+            else:
+                added.append((stored, self._encoded(stored)))
+        retired = [entry for key, entry in active.items() if kept.get(key) is not entry]
+        retired_clauses = sum(entry[2] for entry in retired)
+        current.live += sum(len(clauses) for _, clauses in added) - retired_clauses
+        current.dead += retired_clauses + len(retired)
+        if current.overgrown():
+            current = None  # the old solver must go before the new is built
+            self._rebuild_query_solver(wffs)
+            return len(added), len(retired), True
+        self._evict_encodings({stored.store_id for stored in wffs})
+        solver = current.solver
+        for _, activation, _ in retired:
+            solver.add_clause(_negated(activation))
+        for stored, clauses in added:
+            activation = _activation(stored)
+            guard = _negated(activation)
+            for clause in clauses:
+                solver.add_clause(clause | guard)
+            kept[stored.store_id] = (stored.version, activation, len(clauses))
+        current.active = kept
+        current.assumptions = [(entry[1], True) for entry in kept.values()]
+        current.store_version = version
+        return len(added), len(retired), False
+
+    def _rebuild_query_solver(self, wffs: Sequence[StoredWff]) -> None:
+        self._query_solver = None  # never hold two solvers at once
+        self._evict_encodings({stored.store_id for stored in wffs})
+        active: Dict[int, _Activation] = {}
+
+        def guarded() -> Iterator[Clause]:
+            for stored in wffs:
+                clauses = self._encoded(stored)
+                activation = _activation(stored)
+                active[stored.store_id] = (stored.version, activation, len(clauses))
+                guard = _negated(activation)
+                for clause in clauses:
+                    yield clause | guard
+
+        solver = Solver(guarded(), stats=self.sat_stats)
+        self._query_solver = _QuerySolver(solver, active, self._store.version)
+
+    def solve_with(self, clauses: Sequence[Clause] = ()) -> Optional[Valuation]:
+        """A model of the section conjoined with *clauses*, or None.
+
+        Runs on the persistent query solver (synced first).  *clauses* are
+        guarded by a one-shot activation literal, assumed for this solve
+        only and retired after it.  The model is total over the solver's
+        atoms; a universe atom it does not mention is unconstrained.
+        """
+        self.sync_query_solver()
+        current = self._query_solver
+        assert current is not None
+        solver = current.solver
+        if not clauses:
+            return solver.solve(current.assumptions)
+        activation = PredicateConstant(f"@ask{current.asks}")
+        current.asks += 1
+        guard = _negated(activation)
+        for clause in clauses:
+            solver.add_clause(clause | guard)
+        try:
+            return solver.solve(current.assumptions + [(activation, True)])
+        finally:
+            solver.add_clause(guard)
+            current.dead += len(clauses) + 1
+
     def is_consistent(self) -> bool:
-        """Does the theory have at least one model?"""
+        """Does the theory have at least one model?  (Cached per store
+        version.)"""
+        version, consistent = self._consistency
+        if version == self._store.version:
+            return consistent
         with span("theory.consistency"):
-            solver = Solver(self.clauses(), stats=self.sat_stats)
-            return solver.solve(use_pure_literals=True) is not None
+            consistent = self.solve_with() is not None
+        self._consistency = (self._store.version, consistent)
+        return consistent
 
     def alternative_worlds(
         self, *, limit: Optional[int] = None

@@ -117,15 +117,47 @@ class TestStatisticsSurface:
         assert stats["engine.updates_applied"] == 1
         assert stats["sat.solve_calls"] > 0
 
-    def test_query_burst_hits_clause_cache(self):
+    def test_query_burst_builds_no_solver(self, monkeypatch):
+        from repro.logic.sat import Solver
+
+        builds = []
+        original = Solver.__init__
+
+        def counting(self, *args, **kwargs):
+            builds.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Solver, "__init__", counting)
         db = Database()
         db.update("INSERT P(a) | P(b) WHERE T")
+        db.ask("P(a)")  # the first ask builds the query solver
         db.theory.reset_solver_statistics()
-        for _ in range(5):
-            db.ask("P(a)")
+        del builds[:]
+        for query in ("P(a)", "P(b)", "P(a) & P(b)", "!P(a)"):
+            db.ask(query)
         stats = db.metrics_snapshot()
-        # After the first query encodes the section, the rest are pure hits.
-        assert stats["tseitin.cache_hits"] > stats["tseitin.cache_misses"]
+        # The section's clauses are already in the persistent solver: the
+        # burst neither encodes a wff nor builds a solver.
+        assert stats["tseitin.cache_misses"] == 0
+        assert builds == []
+
+    def test_renaming_update_reencodes_only_touched_wffs(self):
+        db = Database()
+        db.update("INSERT P(a) WHERE T")
+        db.update("INSERT Q(b) WHERE T")
+        db.ask("P(a)")
+        versions = {w.store_id: w.version for w in db.theory.stored_wffs()}
+        db.theory.reset_solver_statistics()
+        db.update("INSERT !P(a) | P(c) WHERE T")  # Step 2 renames P(a)
+        touched = [
+            w for w in db.theory.stored_wffs()
+            if versions.get(w.store_id) != w.version
+        ]
+        assert any(w.store_id in versions for w in touched)  # a rename
+        assert len(touched) < len(db.theory.stored_wffs())  # Q(b) untouched
+        db.ask("P(a)")
+        stats = db.theory.tseitin_statistics()
+        assert stats["cache_misses"] == len(touched)
 
     def test_cli_stats_command(self, capsys):
         from repro.cli import handle_command

@@ -21,20 +21,20 @@ from repro.theory.theory import ExtendedRelationalTheory
 class TestUpdateLog:
     def test_record_sequence_numbers(self):
         log = UpdateLog()
-        first = log.record(parse_update("INSERT P(a)"), 10)
-        second = log.record(parse_update("INSERT P(b)"), 20)
+        first = log.record(parse_update("INSERT P(a)"))
+        second = log.record(parse_update("INSERT P(b)"))
         assert (first.sequence, second.sequence) == (0, 1)
 
     def test_updates_view(self):
         log = UpdateLog()
         update = parse_update("INSERT P(a)")
-        log.record(update, 1)
+        log.record(update)
         assert log.updates() == [update.to_insert()] or log.updates() == [update]
 
     def test_truncate(self):
         log = UpdateLog()
-        log.record(parse_update("INSERT P(a)"), 1)
-        log.record(parse_update("INSERT P(b)"), 2)
+        log.record(parse_update("INSERT P(a)"))
+        log.record(parse_update("INSERT P(b)"))
         log.truncate(1)
         assert len(log) == 1
 
@@ -45,18 +45,17 @@ class TestUpdateLog:
 
     def test_kind_derived_structurally(self):
         log = UpdateLog()
-        ground = log.record(parse_update("INSERT P(a)"), 1)
-        sim = log.record(SimultaneousInsert([("T", "P(b)")]), 2)
+        ground = log.record(parse_update("INSERT P(a)"))
+        sim = log.record(SimultaneousInsert([("T", "P(b)")]))
         assert ground.kind == KIND_GROUND
         assert sim.kind == KIND_SIMULTANEOUS
         assert kind_of(sim.update) == KIND_SIMULTANEOUS
 
     def test_entry_stores_only_the_update(self):
-        entry = UpdateLog().record(parse_update("INSERT P(a)"), 1)
+        entry = UpdateLog().record(parse_update("INSERT P(a)"))
         assert [f.name for f in dataclasses.fields(entry)] == [
             "sequence",
             "update",
-            "theory_size_after",
         ]
         # The kind is a view of the stored object, so it cannot disagree.
         assert entry.kind == kind_of(entry.update)
@@ -92,7 +91,7 @@ class TestReplay:
         from repro.core.gua import GuaExecutor
 
         GuaExecutor(theory).apply_simultaneous(sim)
-        manager.log.record(sim, theory.size())
+        manager.log.record(sim)
         replayed = manager.replay()
         assert replayed.world_set() == theory.world_set()
         # Only the satisfied clause's body landed: Q(a) yes, Q(b) no.

@@ -131,3 +131,28 @@ class TestTracerBookkeeping:
                 pass
         assert len(traced.roots()) == 5
         assert traced.enabled is True
+
+
+class TestQuerySpans:
+    def test_query_ask_span_reports_sync_and_nests_solves(self, traced):
+        from repro.core.engine import Database
+
+        db = Database()
+        db.update("INSERT P(a) | P(b) WHERE T")
+        wffs = len(db.theory.stored_wffs())
+        db.ask("P(a)")
+        first = traced.last_root()
+        assert first.name == "query.ask"
+        assert first.attrs == {"synced": wffs, "retired": 0, "rebuilt": True}
+        assert any(child.name == "sat.solve" for child in first.children)
+
+        db.ask("P(b)")
+        assert traced.last_root().attrs == {
+            "synced": 0, "retired": 0, "rebuilt": False
+        }
+
+        db.update("DELETE P(a) WHERE T")  # Step 2 renames P(a) in place
+        db.ask("P(b)")
+        after = traced.last_root().attrs
+        assert after["retired"] >= 1 and after["synced"] > after["retired"]
+        assert after["rebuilt"] is False

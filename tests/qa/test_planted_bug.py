@@ -1,18 +1,25 @@
-"""Mutation testing: the oracle must catch every planted GUA bug, and the
+"""Mutation testing: the oracle must catch every planted bug, and the
 shrinker must reduce each catch to a tiny reproducer.
 
 This is the subsystem's own acceptance test — a fuzzer whose oracle cannot
-see a known-broken Step 4 would be decorative.
+see a known-broken Step 4, or a query solver answering from stale clauses,
+would be decorative.
 """
 
 import pytest
 
 from repro.core.gua import GuaExecutor
 from repro.qa import generate_case, run_case, shrink_case
+from repro.qa.oracle import DEFAULT_CHECKS
 from repro.qa.plant import PLANTED_BUGS, planted_bug
 
 #: Fuzzing budget per bug; every planted bug falls well inside it.
 SEED_BUDGET = 60
+
+#: The planted mutations of GUA's Step 4.
+STEP4_BUGS = sorted(
+    name for name, (owner, _, _) in PLANTED_BUGS.items() if owner is GuaExecutor
+)
 
 
 def _first_failure(checks=None):
@@ -54,7 +61,7 @@ def _multi_pair_exposed(section, pairs):
     return theory.world_set() != expected
 
 
-@pytest.mark.parametrize("bug", sorted(PLANTED_BUGS))
+@pytest.mark.parametrize("bug", STEP4_BUGS)
 def test_planted_bug_reaches_simultaneous_updates(bug):
     # Ground and simultaneous updates share one Step 4, so every mutation
     # must show on some multi-pair update as well.
@@ -62,6 +69,19 @@ def test_planted_bug_reaches_simultaneous_updates(bug):
     with planted_bug(bug):
         exposed = [_multi_pair_exposed(*case) for case in MULTI_PAIR_CASES]
     assert any(exposed), f"{bug} invisible to every multi-pair case"
+
+
+def test_answers_check_catches_stale_activation():
+    # The stale literal leaves world enumeration right (it builds its own
+    # solver), so only the answers check can see it.
+    world_checks = tuple(c for c in DEFAULT_CHECKS if c != "answers")
+    with planted_bug("solver-stale-activation"):
+        case = _first_failure(("answers",))
+        assert case is not None
+        assert run_case(case, world_checks).ok
+        report = run_case(case)
+    assert [d.check for d in report.discrepancies] == ["answers"]
+    assert run_case(case).ok
 
 
 def test_planted_bug_shrinks_to_tiny_reproducer():
